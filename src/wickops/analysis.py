@@ -20,6 +20,7 @@ from .core import (
     InputDataError,
     NumericalError,
     UsageError,
+    enumerate_basis,
 )
 from .symbols import WickSymbol, wick_matrix
 
@@ -175,7 +176,7 @@ def default_diag_grid(dimension: int = 1, radius: float = 4.0,
     coarse per-coordinate polar product is used."""
     radii = np.linspace(0.0, radius, n_radii)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    pts_1d = np.array([r * np.exp(1j * t) for r in radii for t in angles])
+    pts_1d = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if dimension == 1:
         return pts_1d[:, None]
     coarse = pts_1d[:: max(1, len(pts_1d) // 40)]
@@ -190,10 +191,10 @@ STABLE_ABS = 1e-6
 def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
     """Spectral probe of the sharp lower-bound behavior across truncations.
 
-    Per truncation N: compress wick_matrix(a, N) to the square degree <= N
-    block, take the minimum eigenvalue of the Hermitian part and the
-    spectral norm of the skew part.  Stabilization is a plateau criterion on
-    the last two minimum eigenvalues; the report never asserts a constant.
+    Per truncation N: take the square degree <= N block of wick_matrix(a, N),
+    the minimum eigenvalue of its Hermitian part and the spectral norm of its
+    skew part.  Stabilization is a plateau criterion on the last two minimum
+    eigenvalues; the report never asserts a constant.
     """
     if a.point_symbol:
         raise UsageError("garding_check applies to standard Wick symbols")
@@ -205,10 +206,14 @@ def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
     if diag_grid is None:
         diag_grid = default_diag_grid(a.dimension)
     diag_grid = np.atleast_2d(np.asarray(diag_grid, dtype=complex))
+    # graded bases nest and the entries do not depend on the truncation, so
+    # each compressed matrix is a leading block of the largest one
+    largest = wick_matrix(a, truncations[-1]).entries
     min_real = []
     max_imag = []
     for n in truncations:
-        M = wick_matrix(a, n).compressed().entries
+        size = len(enumerate_basis(a.dimension, n))
+        M = largest[:size, :size]
         herm = 0.5 * (M + M.conj().T)
         skew = (M - M.conj().T) / 2j
         try:
@@ -217,8 +222,7 @@ def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
             max_imag.append(float(np.max(np.abs(imag_eigs))) if imag_eigs.size else 0.0)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigen-solve failed at truncation {n}") from exc
-    diag_vals = [a.diagonal_value(w).real for w in diag_grid]
-    diagonal_min = float(np.min(diag_vals))
+    diagonal_min = float(np.min(a.diagonal_value(diag_grid).real))
     if len(min_real) >= 2:
         last, prev = min_real[-1], min_real[-2]
         stabilized = (abs(last - prev) < STABLE_ABS

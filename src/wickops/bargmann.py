@@ -27,6 +27,7 @@ from .core import (
     InputDataError,
     UsageError,
     gauss_hermite,
+    monomial_table,
     tensor_rule,
 )
 from .hermite import _sample
@@ -62,6 +63,15 @@ def _as_complex_vector(z) -> np.ndarray:
     if isinstance(z, FockPoint):
         return np.asarray(z.z, dtype=complex)
     return np.atleast_1d(np.asarray(z, dtype=complex))
+
+
+def _as_complex_points(z, dimension: int):
+    """z as an (n, d) batch of points, and whether it was a single point (d,)."""
+    z = _as_complex_vector(z)
+    points = np.atleast_2d(z)
+    if points.ndim != 2 or points.shape[1] != dimension:
+        raise UsageError(f"points of shape {z.shape} do not match dimension {dimension}")
+    return points, z.ndim == 1
 
 
 def bilinear_pairing(z, w) -> complex:
@@ -124,20 +134,15 @@ def inverse_bargmann_coeff(F: CoefficientExpansion) -> CoefficientExpansion:
     return F.with_side(HERMITE)
 
 
-def evaluate_fock(F: CoefficientExpansion, z) -> complex:
-    """Value sum c_a z^a / sqrt(a!) of a Fock-side expansion at z."""
+def evaluate_fock(F: CoefficientExpansion, z):
+    """Value sum c_a z^a / sqrt(a!) of a Fock-side expansion; z may be a single
+    point (d,), giving a complex, or a batch (n, d), giving an array."""
     if F.side != FOCK:
         raise UsageError("evaluate_fock expects a fock-side expansion")
-    z = _as_complex_vector(z)
-    if z.shape[-1] != F.dimension:
-        raise UsageError("point dimension does not match the expansion")
-    total = 0.0 + 0.0j
-    for alpha, c in F.coeffs.items():
-        mono = 1.0 + 0.0j
-        for j, n in enumerate(alpha):
-            mono *= z[j] ** n
-        total += c * mono / math.sqrt(alpha.factorial())
-    return complex(total)
+    points, single = _as_complex_points(z, F.dimension)
+    coeffs = np.array([c / math.sqrt(a.factorial()) for a, c in F.coeffs.items()], dtype=complex)
+    values = np.sum(coeffs * monomial_table(points, list(F.coeffs)), axis=1)
+    return complex(values[0]) if single else values
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +181,8 @@ def fock_inner_quadrature(F: CoefficientExpansion, G: CoefficientExpansion,
             f"{F.degree_bound + G.degree_bound}; result may be inaccurate",
             AccuracyWarning, stacklevel=2)
     points, weights = gaussian_plane_rule(radial_order, angular_order)
-    Fv = np.array([evaluate_fock(F, w) for w in points])
-    Gv = np.array([evaluate_fock(G, w) for w in points])
+    Fv = evaluate_fock(F, points[:, None])
+    Gv = evaluate_fock(G, points[:, None])
     return complex(np.sum(weights * Fv * np.conj(Gv)))
 
 
@@ -192,5 +197,5 @@ def reproducing_quadrature(F: CoefficientExpansion, z,
         raise UsageError("reproducing_quadrature is a d = 1 fock-side oracle")
     z = complex(_as_complex_vector(z)[0])
     points, weights = gaussian_plane_rule(radial_order, angular_order)
-    Fv = np.array([evaluate_fock(F, w) for w in points])
+    Fv = evaluate_fock(F, points[:, None])
     return complex(np.sum(weights * Fv * np.exp(z * np.conj(points))))

@@ -185,7 +185,9 @@ def _matrix_command(args, builder, loader):
     symbol = loader(_load_json(args.input))
     degree = args.degree if args.degree is not None else 8
     M = builder(symbol, degree)
-    return _emit({"result": M.to_json_dict()}, args, csv_rows=_matrix_csv(M))
+    if args.format == "csv":
+        return _emit({}, args, csv_rows=_matrix_csv(M))
+    return _emit({"result": M.to_json_dict()}, args)
 
 
 def cmd_wick_matrix(args):
@@ -222,7 +224,11 @@ def cmd_expand_antiwick(args):
 
 def cmd_garding(args):
     a = WickSymbol.from_json_dict(_load_json(args.input))
-    truncations = [int(t) for t in args.truncations.split(",")]
+    try:
+        truncations = [int(t) for t in args.truncations.split(",")]
+    except ValueError as exc:
+        raise UsageError(
+            f"--truncations must be comma-separated integers, got {args.truncations!r}") from exc
     report = garding_check(a, truncations)
     rows = [("truncation", "min_real_eigenvalue", "max_imag_norm")]
     rows += list(zip(report.truncation_degrees, report.min_real_eigenvalues,

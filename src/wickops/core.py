@@ -31,6 +31,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite",
     "tensor_rule",
+    "monomial_table",
     "CoefficientExpansion",
     "expansion_inner",
     "HERMITE",
@@ -192,6 +193,31 @@ def tensor_rule(rule: QuadratureRule, d: int):
     return points, weights, idx
 
 
+def monomial_table(points, exponents) -> np.ndarray:
+    """Monomials of a batch of points: for (n, d) complex points and (k, d)
+    integer exponents, entry (i, m) of the (n, k) table is
+    prod_j points[i, j] ** exponents[m, j]."""
+    points = np.asarray(points, dtype=complex)
+    exponents = np.asarray(exponents, dtype=int).reshape(-1, points.shape[1])
+    return np.prod(points[:, None, :] ** exponents[None, :, :], axis=2)
+
+
+def json_index(entries) -> MultiIndex:
+    """Multi-index read from input JSON; a bad entry is an input-data error."""
+    try:
+        return MultiIndex(entries)
+    except (UsageError, TypeError, ValueError) as exc:
+        raise InputDataError(f"bad multi-index {entries!r} in input JSON: {exc}") from exc
+
+
+def json_value(pair) -> complex:
+    """Finite complex number read from an input JSON [re, im] pair."""
+    value = complex(pair[0], pair[1])
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise InputDataError(f"non-finite value {list(pair)} in input JSON")
+    return value
+
+
 class CoefficientExpansion:
     """Finite map multi-index -> complex coefficient, on one side of the
     Bargmann transform.
@@ -201,14 +227,13 @@ class CoefficientExpansion:
     so the squared norm is sum |c_a|^2 on either side.
     """
 
-    def __init__(self, dimension, side, coeffs, prune_threshold=0.0):
+    def __init__(self, dimension, side, coeffs):
         if dimension < 1:
             raise UsageError(f"dimension must be >= 1, got {dimension}")
         if side not in (HERMITE, FOCK):
             raise UsageError(f"side must be '{HERMITE}' or '{FOCK}', got {side!r}")
         self.dimension = int(dimension)
         self.side = side
-        self.prune_threshold = float(prune_threshold)
         clean = {}
         for key, value in dict(coeffs).items():
             alpha = MultiIndex(key)
@@ -216,8 +241,6 @@ class CoefficientExpansion:
                 raise UsageError(
                     f"index {alpha} has length {len(alpha)}, expected {self.dimension}")
             value = complex(value)
-            if abs(value) <= self.prune_threshold and value != 0:
-                continue
             if value != 0:
                 clean[alpha] = value
         self.coeffs = clean
@@ -270,10 +293,8 @@ class CoefficientExpansion:
     @classmethod
     def from_json_dict(cls, data) -> "CoefficientExpansion":
         try:
-            coeffs = {
-                tuple(entry["index"]): complex(entry["value"][0], entry["value"][1])
-                for entry in data["coeffs"]
-            }
+            coeffs = {json_index(entry["index"]): json_value(entry["value"])
+                      for entry in data["coeffs"]}
             return cls(int(data["dimension"]), data["side"], coeffs)
         except (KeyError, TypeError, IndexError) as exc:
             raise InputDataError(f"malformed expansion JSON: {exc}") from exc

@@ -21,14 +21,18 @@ from .core import (
     FOCK,
     HERMITE,
     CoefficientExpansion,
+    InputDataError,
     MultiIndex,
     NumericalError,
     UsageError,
     basis_index_map,
     enumerate_basis,
     grlex_key,
+    json_index,
+    json_value,
+    monomial_table,
 )
-from .bargmann import gaussian_plane_rule, evaluate_fock, _as_complex_vector
+from .bargmann import gaussian_plane_rule, evaluate_fock, _as_complex_points, _as_complex_vector
 from .hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 
 KOHN_NIRENBERG = "kohn_nirenberg"
@@ -49,6 +53,11 @@ def _falling_multi(alpha: MultiIndex, beta: MultiIndex) -> int:
     for a, b in zip(alpha, beta):
         out *= _falling(a, b)
     return out
+
+
+def _terms_from_json(entries) -> dict:
+    return {(json_index(t["alpha"]), json_index(t["beta"])): json_value(t["value"])
+            for t in entries}
 
 
 class WickSymbol:
@@ -87,30 +96,26 @@ class WickSymbol:
     def total_degree(self) -> int:
         return max((a.degree() + b.degree() for a, b in self.terms), default=0)
 
-    def evaluate(self, z, w=None) -> complex:
-        """a(z, w); for point symbols call with a single argument a0(w)."""
+    def evaluate(self, z, w=None):
+        """a(z, w); for point symbols call with a single argument a0(w).
+        Single (d,) points give a complex, (n, d) batches an array."""
         if self.point_symbol:
             if w is not None:
                 raise UsageError("point symbols take a single argument")
-            w = _as_complex_vector(z)
-            total = 0.0 + 0.0j
-            for (sigma, tau), c in self.terms.items():
-                total += c * np.prod(w**np.array(sigma)) * np.prod(np.conj(w) ** np.array(tau))
-            return complex(total)
-        if w is None:
+            w = z
+        elif w is None:
             raise UsageError("Wick symbols take two arguments (z, w)")
-        z = _as_complex_vector(z)
-        w = _as_complex_vector(w)
-        total = 0.0 + 0.0j
-        for (alpha, beta), c in self.terms.items():
-            total += c * np.prod(z**np.array(alpha)) * np.prod(np.conj(w) ** np.array(beta))
-        return complex(total)
+        z, z_single = _as_complex_points(z, self.dimension)
+        w, w_single = _as_complex_points(w, self.dimension)
+        coeffs = np.array(list(self.terms.values()), dtype=complex)
+        values = np.sum(coeffs * monomial_table(z, [a for a, _ in self.terms])
+                        * monomial_table(np.conj(w), [b for _, b in self.terms]), axis=1)
+        return complex(values[0]) if z_single and w_single else values
 
-    def diagonal_value(self, w) -> complex:
-        """a(w, w), the diagonal restriction appearing in the Garding hypothesis."""
-        if self.point_symbol:
-            return self.evaluate(w)
-        return self.evaluate(w, w)
+    def diagonal_value(self, w):
+        """a(w, w), the diagonal restriction appearing in the Garding hypothesis;
+        w is a single point or a batch, as in evaluate."""
+        return self.evaluate(w) if self.point_symbol else self.evaluate(w, w)
 
     def derivative(self, alpha, beta) -> "WickSymbol":
         """Exact term-wise derivative d_z^alpha dbar_w^beta of a standard symbol."""
@@ -158,13 +163,11 @@ class WickSymbol:
 
     @classmethod
     def from_json_dict(cls, data) -> "WickSymbol":
-        from .core import InputDataError
         try:
             kind = data.get("kind", "wick")
-            terms = {(tuple(t["alpha"]), tuple(t["beta"])): complex(t["value"][0], t["value"][1])
-                     for t in data["terms"]}
+            terms = _terms_from_json(data["terms"])
             return cls(int(data["dimension"]), terms, point_symbol=(kind == "antiwick"))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
     def __repr__(self):
@@ -215,16 +218,14 @@ class RealSymbol:
 
     @classmethod
     def from_json_dict(cls, data) -> "RealSymbol":
-        from .core import InputDataError
         try:
             kind = data["kind"]
             quant = KOHN_NIRENBERG if kind == "kn" else WEYL
             if kind not in ("kn", "weyl"):
                 raise InputDataError(f"unknown real-symbol kind {kind!r}")
-            terms = {(tuple(t["alpha"]), tuple(t["beta"])): complex(t["value"][0], t["value"][1])
-                     for t in data["terms"]}
+            terms = _terms_from_json(data["terms"])
             return cls(int(data["dimension"]), quant, terms)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
 
@@ -291,16 +292,15 @@ class OperatorMatrix:
 
     @classmethod
     def from_json_dict(cls, data) -> "OperatorMatrix":
-        from .core import InputDataError
         try:
             d = int(data["dimension"])
             n_in_deg = int(data["n_in"])
             n_out_deg = int(data["n_out"])
             n_in = len(enumerate_basis(d, n_in_deg))
             n_out = len(enumerate_basis(d, n_out_deg))
-            flat = np.array([complex(re, im) for re, im in data["entries"]])
+            flat = np.array([json_value(pair) for pair in data["entries"]])
             return cls(d, n_in_deg, n_out_deg, data["side"], flat.reshape(n_out, n_in))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputDataError(f"malformed matrix JSON: {exc}") from exc
 
 
@@ -319,21 +319,24 @@ class ShubinWeight:
         if not 0.0 <= self.rho <= 1.0:
             raise UsageError(f"rho must lie in [0, 1], got {self.rho}")
 
-    def omega(self, x) -> float:
+    def omega(self, x):
+        """omega(x) for a point (d,), as a float, or row-wise for a batch (n, d)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float((1.0 + np.sum(x**2)) ** (self.t / 2.0))
+        values = (1.0 + np.sum(x**2, axis=-1)) ** (self.t / 2.0)
+        return float(values) if x.ndim == 1 else values
 
-    def omega_complex(self, z) -> float:
+    def omega_complex(self, z):
         """omega through the identification C^d ~ R^{2d} (real and imaginary
-        parts stacked)."""
+        parts stacked); row-wise for a batch (n, d)."""
         z = _as_complex_vector(z)
-        return self.omega(np.concatenate([z.real, z.imag]))
+        return self.omega(np.concatenate([z.real, z.imag], axis=-1))
 
 
-def japanese_bracket(v) -> float:
-    """<v> = (1 + |v|^2)^{1/2} for a real or complex vector."""
+def japanese_bracket(v):
+    """<v> = (1 + |v|^2)^{1/2} of a real or complex vector, or row-wise of a batch."""
     v = np.atleast_1d(np.asarray(v, dtype=complex))
-    return float(np.sqrt(1.0 + np.sum(np.abs(v) ** 2)))
+    values = np.sqrt(1.0 + np.sum(np.abs(v) ** 2, axis=-1))
+    return float(values) if v.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +581,12 @@ def wick_apply_quadrature(a: WickSymbol, F: CoefficientExpansion, z,
         raise UsageError("quadrature oracle is d = 1 only")
     if F.side != FOCK:
         raise UsageError("oracle expects a fock-side expansion")
-    z = complex(_as_complex_vector(z)[0])
+    z = _as_complex_vector(z)
     points, weights = gaussian_plane_rule(radial_order, angular_order)
-    pts = np.asarray(points, dtype=complex)
-    Fv = np.zeros(pts.shape, dtype=complex)
-    for k, c in F.coeffs.items():
-        Fv += c * pts ** k[0] / math.sqrt(float(MultiIndex(k).factorial()))
-    av = np.zeros(pts.shape, dtype=complex)
-    if a.point_symbol:
-        for (sigma, tau), c in a.terms.items():
-            av += c * pts ** sigma[0] * np.conj(pts) ** tau[0]
-    else:
-        for (alpha, beta), c in a.terms.items():
-            av += c * z ** alpha[0] * np.conj(pts) ** beta[0]
-    return complex(np.sum(weights * av * Fv * np.exp(z * np.conj(pts))))
+    nodes = points[:, None]
+    av = a.evaluate(nodes) if a.point_symbol else a.evaluate(z, nodes)
+    Fv = evaluate_fock(F, nodes)
+    return complex(np.sum(weights * av * Fv * np.exp(z[0] * np.conj(points))))
 
 
 def matrix_apply_at_point(M: OperatorMatrix, F: CoefficientExpansion, z) -> complex:
@@ -648,6 +643,23 @@ def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7)
     return [(z, w) for z in singles for w in singles]
 
 
+def _stack_grid(grid):
+    """The (z, w) pairs of a grid as two (n, d) complex arrays."""
+    pairs = np.asarray(list(grid), dtype=complex)
+    if pairs.size == 0:
+        raise UsageError("bound check requires a non-empty grid")
+    pairs = pairs.reshape(len(pairs), 2, -1)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _require_finite(values, what, z, w):
+    """Raise NumericalError, naming the grid radius, unless all values are finite."""
+    if not np.all(np.isfinite(values)):
+        radius = float(np.max(np.abs(np.concatenate([z, w]).view(float))))
+        raise NumericalError(
+            f"{what} is not finite on the grid of radius {radius:g}; use a smaller grid")
+
+
 def symbol_bound_check(a: WickSymbol, s: float, r: float, direction: str,
                        grid) -> BoundReport:
     """Grid supremum of |a(z,w)| against the Gaussian-modulated bound
@@ -662,27 +674,19 @@ def symbol_bound_check(a: WickSymbol, s: float, r: float, direction: str,
         raise UsageError(f"r must be > 0, got {r}")
     if direction not in ("gain", "loss"):
         raise UsageError("direction must be 'gain' or 'loss'")
-    grid = list(grid)
-    if not grid:
-        raise UsageError("bound check requires a non-empty grid")
+    z, w = _stack_grid(grid)
     sign = +1.0 if direction == "gain" else -1.0
-    best = -np.inf
-    best_point = None
-    for z, w in grid:
-        z = _as_complex_vector(z)
-        w = _as_complex_vector(w)
-        nz = float(np.linalg.norm(z))
-        nw = float(np.linalg.norm(w))
-        exponent = (-0.5 * float(np.linalg.norm(z - w)) ** 2
-                    + sign * r * (nz ** (1.0 / s) + nw ** (1.0 / s)))
-        ratio = abs(a.evaluate(z, w)) * math.exp(exponent)
-        if ratio > best:
-            best = ratio
-            best_point = (tuple(z), tuple(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (-0.5 * np.linalg.norm(z - w, axis=1) ** 2
+                    + sign * r * (np.linalg.norm(z, axis=1) ** (1.0 / s)
+                                  + np.linalg.norm(w, axis=1) ** (1.0 / s)))
+        ratio = np.abs(a.evaluate(z, w)) * np.exp(exponent)
+    _require_finite(ratio, "the bound ratio", z, w)
+    i = int(np.argmax(ratio))
     return BoundReport(
         description=f"symbol bound check ({direction})",
-        sup=float(best), argmax=best_point,
-        params={"s": s, "r": r, "direction": direction, "grid_size": len(grid)})
+        sup=float(ratio[i]), argmax=(tuple(z[i]), tuple(w[i])),
+        params={"s": s, "r": r, "direction": direction, "grid_size": len(z)})
 
 
 def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
@@ -698,37 +702,28 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
     """
     if a.point_symbol:
         raise UsageError("Shubin estimates apply to standard Wick symbols")
-    grid = list(grid)
-    if not grid:
-        raise UsageError("estimate check requires a non-empty grid")
+    z, w = _stack_grid(grid)
+    with np.errstate(over="ignore"):
+        gauss = np.exp(0.5 * np.linalg.norm(z - w, axis=1) ** 2)
+    _require_finite(gauss, "the exponential weight", z, w)
+    base = gauss * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
+    plus = japanese_bracket(z + w)
+    minus = japanese_bracket(z - w)
     details = []
-    overall = -np.inf
-    overall_arg = None
     for alpha, beta in enumerate_symbol_keys(a.dimension, max_order):
-        deriv = a.derivative(alpha, beta)
+        values = np.abs(a.derivative(alpha, beta).evaluate(z, w))
         order = alpha.degree() + beta.degree()
         for N in range(n_decay + 1):
-            best = -np.inf
-            best_point = None
-            for z, w in grid:
-                z = _as_complex_vector(z)
-                w = _as_complex_vector(w)
-                denom = (math.exp(0.5 * float(np.linalg.norm(z - w)) ** 2)
-                         * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
-                         * japanese_bracket(z + w) ** (-weight.rho * order)
-                         * japanese_bracket(z - w) ** (-N))
-                ratio = abs(deriv.evaluate(z, w)) / denom
-                if ratio > best:
-                    best = ratio
-                    best_point = (tuple(z), tuple(w))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                ratio = values / (base * plus ** (-weight.rho * order) * minus ** (-N))
+            _require_finite(ratio, "the estimate ratio", z, w)
+            i = int(np.argmax(ratio))
             details.append({"alpha": tuple(alpha), "beta": tuple(beta), "N": N,
-                            "sup": float(best), "argmax": best_point})
-            if best > overall:
-                overall = best
-                overall_arg = best_point
+                            "sup": float(ratio[i]), "argmax": (tuple(z[i]), tuple(w[i]))})
+    best = max(details, key=lambda entry: entry["sup"])
     return BoundReport(
         description="Shubin-Wick estimate check",
-        sup=float(overall), argmax=overall_arg,
+        sup=best["sup"], argmax=best["argmax"],
         params={"t": weight.t, "rho": weight.rho,
-                "max_order": max_order, "n_decay": n_decay, "grid_size": len(grid)},
+                "max_order": max_order, "n_decay": n_decay, "grid_size": len(z)},
         details=details)

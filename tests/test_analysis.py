@@ -5,7 +5,7 @@ import pytest
 
 from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError
 from wickops.hermite import norm_growth_probe
-from wickops.symbols import WickSymbol
+from wickops.symbols import WickSymbol, wick_matrix
 from wickops.analysis import (
     FLAT,
     H0,
@@ -110,6 +110,21 @@ class TestGardingCheck:
         a = WickSymbol(1, {((1,), (1,)): 3.0, ((0,), (0,)): -0.5})
         report = garding_check(a, [4, 8, 16])
         assert len(set(round(v, 12) for v in report.min_real_eigenvalues)) == 1
+
+    @pytest.mark.parametrize("d,truncations", [(1, [3, 7, 12]), (2, [2, 4, 6])])
+    def test_blocks_match_separately_built_matrices(self, d, truncations):
+        rng = np.random.default_rng(5 + d)
+        keys = [(tuple(rng.integers(0, 3, size=d)), tuple(rng.integers(0, 3, size=d)))
+                for _ in range(6)]
+        a = WickSymbol(d, {key: complex(*rng.standard_normal(2)) for key in keys})
+        report = garding_check(a, truncations)
+        for n, got_min, got_imag in zip(truncations, report.min_real_eigenvalues,
+                                        report.max_imag_norms):
+            M = wick_matrix(a, n).compressed().entries
+            herm = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+            skew = np.linalg.eigvalsh((M - M.conj().T) / 2j)
+            assert got_min == pytest.approx(np.min(herm), abs=1e-12)
+            assert got_imag == pytest.approx(np.max(np.abs(skew)), abs=1e-12)
 
     def test_truncations_must_increase(self):
         a = WickSymbol(1, {((0,), (0,)): 1.0})

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wickops.cli import main
-from wickops.core import CoefficientExpansion, HERMITE
-from wickops.symbols import RealSymbol, WickSymbol
+from wickops.core import CoefficientExpansion, HERMITE, InputDataError
+from wickops.symbols import OperatorMatrix, RealSymbol, WickSymbol, wick_matrix
 
 
 def write_json(path, obj):
@@ -199,6 +200,63 @@ class TestErrorExitCodes:
         out = tmp_path / "o.json"
         assert main(["expand-antiwick", "--input", oscillator_wick,
                      "--output", str(out), "--order", "-1"]) == 2
+
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-check"],
+        ["garding", "--truncations", "4,8"],
+    ])
+    def test_nan_coefficient_is_input_error(self, tmp_path, argv):
+        inp = tmp_path / "nan.json"
+        inp.write_text('{"dimension": 1, "kind": "wick", "terms": '
+                       '[{"alpha": [1], "beta": [1], "value": [NaN, 0.0]}]}')
+        assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     *argv[1:]]) == 3
+
+    def test_negative_multi_index_is_input_error(self, tmp_path):
+        symbol = {"dimension": 1, "kind": "wick",
+                  "terms": [{"alpha": [-1], "beta": [1], "value": [1.0, 0.0]}]}
+        inp = write_json(tmp_path / "neg.json", symbol)
+        assert main(["bound-check", "--input", inp,
+                     "--output", str(tmp_path / "o.json")]) == 3
+        expansion = {"dimension": 1, "side": "hermite",
+                     "coeffs": [{"index": [-2], "value": [1.0, 0.0]}]}
+        inp = write_json(tmp_path / "neg-exp.json", expansion)
+        assert main(["classify", "--input", inp, "--output", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_every_json_reader_rejects_non_finite_values(self, bad):
+        readers = [
+            (CoefficientExpansion, CoefficientExpansion(1, HERMITE, {(0,): 1.0}), "coeffs"),
+            (WickSymbol, WickSymbol(1, {((1,), (0,)): 1.0}), "terms"),
+            (RealSymbol, RealSymbol(1, "weyl", {((1,), (0,)): 1.0}), "terms"),
+            (OperatorMatrix, wick_matrix(WickSymbol(1, {((0,), (0,)): 1.0}), 0), "entries"),
+        ]
+        for cls, obj, field in readers:
+            data = obj.to_json_dict()
+            entry = data[field][0]
+            if field == "entries":
+                entry[1] = bad
+            else:
+                entry["value"][1] = bad
+            with pytest.raises(InputDataError):
+                cls.from_json_dict(data)
+
+    def test_bad_truncation_list_is_usage_error(self, tmp_path, oscillator_wick):
+        assert main(["garding", "--input", oscillator_wick, "--output",
+                     str(tmp_path / "o.json"), "--truncations", "a,b"]) == 2
+
+    @pytest.mark.parametrize("mode", [["--mode", "gs", "--direction", "gain"],
+                                      ["--mode", "shubin"]])
+    def test_overflowing_bound_check_is_numerical_error(self, tmp_path, capsys,
+                                                       oscillator_wick, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bound-check", "--input", oscillator_wick, "--output",
+                         str(tmp_path / "o.json"), "--grid-radius", "40", *mode])
+        assert code == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "numerical" and "radius 40" in error["message"]
 
 
 class TestSelftest:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wickops.bargmann import evaluate_fock
 from wickops.core import FOCK, CoefficientExpansion, NumericalError, UsageError, enumerate_basis
 from wickops.symbols import (
     KOHN_NIRENBERG,
@@ -345,6 +346,80 @@ class TestShubinEstimateCheck:
     def test_japanese_bracket(self):
         assert japanese_bracket([0.0]) == pytest.approx(1.0)
         assert japanese_bracket([3.0 + 4.0j]) == pytest.approx(math.sqrt(26.0))
+        assert isinstance(japanese_bracket([3.0 + 4.0j]), float)
+        batch = japanese_bracket([[0.0, 0.0], [3.0 + 4.0j, 1.0]])
+        assert batch == pytest.approx([1.0, math.sqrt(27.0)])
+
+    def test_weight_is_row_wise_on_batches(self):
+        weight = ShubinWeight(t=2.0)
+        assert isinstance(weight.omega([1.0, 2.0]), float)
+        assert weight.omega([[1.0, 2.0], [0.0, 0.0]]) == pytest.approx([6.0, 1.0])
+        assert weight.omega_complex([[1.0 + 1.0j], [2.0j]]) == pytest.approx([3.0, 5.0])
+
+
+def _plain_monomial(point, exponent) -> complex:
+    out = 1.0 + 0.0j
+    for x, n in zip(point, exponent):
+        out *= complex(x) ** n
+    return out
+
+
+def _plain_symbol(terms, z, w) -> complex:
+    """sum c z^alpha conj(w)^beta, one term and one coordinate at a time."""
+    conj_w = [complex(x).conjugate() for x in w]
+    return sum(c * _plain_monomial(z, alpha) * _plain_monomial(conj_w, beta)
+               for (alpha, beta), c in terms.items())
+
+
+def _random_terms(rng, d, n_terms, degree=3):
+    keys = [(tuple(rng.integers(0, degree + 1, size=d)),
+             tuple(rng.integers(0, degree + 1, size=d))) for _ in range(n_terms)]
+    return {key: complex(*rng.standard_normal(2)) for key in keys}
+
+
+class TestBatchEvaluation:
+    """Batch evaluation against plain-Python complex sums; scalar calls are the
+    batch's rows."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("point_symbol", [False, True])
+    def test_symbol_matches_plain_sums(self, d, point_symbol):
+        rng = np.random.default_rng(10 * d + point_symbol)
+        a = WickSymbol(d, _random_terms(rng, d, 9), point_symbol=point_symbol)
+        z = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        w = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        if point_symbol:
+            batch = a.evaluate(w)
+            want = [_plain_symbol(a.terms, wi, wi) for wi in w]
+            singles = [a.evaluate(wi) for wi in w]
+        else:
+            batch = a.evaluate(z, w)
+            want = [_plain_symbol(a.terms, zi, wi) for zi, wi in zip(z, w)]
+            singles = [a.evaluate(zi, wi) for zi, wi in zip(z, w)]
+        assert batch.shape == (7,)
+        scale = max(abs(v) for v in want)
+        assert np.max(np.abs(batch - np.array(want))) <= 1e-13 * scale
+        assert all(isinstance(v, complex) for v in singles)
+        np.testing.assert_array_equal(np.array(singles), batch)
+        np.testing.assert_array_equal(a.diagonal_value(w),
+                                      a.evaluate(w) if point_symbol else a.evaluate(w, w))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fock_matches_plain_sums(self, d):
+        rng = np.random.default_rng(d)
+        F = CoefficientExpansion(d, FOCK, {alpha: complex(*rng.standard_normal(2))
+                                           for alpha in enumerate_basis(d, 6)})
+        z = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        want = np.array([sum(c * _plain_monomial(zi, alpha) / math.sqrt(alpha.factorial())
+                             for alpha, c in F.coeffs.items()) for zi in z])
+        batch = evaluate_fock(F, z)
+        assert np.max(np.abs(batch - want)) <= 1e-13 * np.max(np.abs(want))
+        np.testing.assert_array_equal(np.array([evaluate_fock(F, zi) for zi in z]), batch)
+
+    def test_point_dimension_mismatch_rejected(self):
+        a = WickSymbol(2, {((1, 0), (0, 1)): 1.0})
+        with pytest.raises(UsageError):
+            a.evaluate(np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 class TestOperatorMatrixContainer:
