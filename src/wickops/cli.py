@@ -12,6 +12,7 @@ A machine-readable error object is printed on stderr on failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -91,7 +92,7 @@ def _emit(payload, args, csv_rows=None):
     # the output path is where the report goes, not part of what it computes,
     # so it is left out to keep identical configs byte-identical
     payload["config"] = {k: v for k, v in sorted(vars(args).items())
-                         if k not in ("func", "output") and v is not None}
+                         if k != "output" and v is not None}
     payload["version"] = __version__
     path = _resolve_output(args.output)
     if getattr(args, "format", "json") == "csv":
@@ -344,7 +345,10 @@ def cmd_selftest(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The wickops argument parser, built once per process.  It holds no
+    subcommand functions: main dispatches on the command name at call time."""
     parser = argparse.ArgumentParser(
         prog="wickops",
         description="Hermite/Bargmann calculus: quantization matrices, the "
@@ -353,7 +357,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, needs_input=True, needs_output=True):
+    def add(name, help_, needs_input=True, needs_output=True):
         p = sub.add_parser(name, help=help_)
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
@@ -361,43 +365,40 @@ def build_parser():
             p.add_argument("--output", required=needs_output, help="output report file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=func)
         return p
 
-    p = add("hermite-coeffs", cmd_hermite_coeffs,
-            "expand a sampled function in Hermite functions")
+    p = add("hermite-coeffs", "expand a sampled function in Hermite functions")
     p.add_argument("--degree", type=int, help="expansion degree bound")
     p.add_argument("--quad-order", type=int)
 
-    p = add("bargmann", cmd_bargmann, "transform a hermite expansion to the Fock side")
+    p = add("bargmann", "transform a hermite expansion to the Fock side")
     p.add_argument("--cross-check", type=int, default=0,
                    help="compare against the kernel integral at this many random points")
     p.add_argument("--quad-order", type=int)
 
-    for name, func, help_ in [
-        ("wick-matrix", cmd_wick_matrix, "matrix of a Wick operator"),
-        ("antiwick-matrix", cmd_antiwick_matrix, "matrix of an anti-Wick operator"),
-        ("kn-matrix", cmd_kn_matrix, "matrix of a Kohn-Nirenberg quantization"),
-        ("weyl-matrix", cmd_weyl_matrix, "matrix of a Weyl quantization"),
+    for name, help_ in [
+        ("wick-matrix", "matrix of a Wick operator"),
+        ("antiwick-matrix", "matrix of an anti-Wick operator"),
+        ("kn-matrix", "matrix of a Kohn-Nirenberg quantization"),
+        ("weyl-matrix", "matrix of a Weyl quantization"),
     ]:
-        p = add(name, func, help_)
+        p = add(name, help_)
         p.add_argument("--degree", type=int, help="domain degree bound (default 8)")
 
-    p = add("to-wick", cmd_to_wick, "Wick symbol of a real quantization")
+    p = add("to-wick", "Wick symbol of a real quantization")
     p.add_argument("--degree", type=int, help="probe degree (default: symbol degree)")
 
-    p = add("expand-antiwick", cmd_expand_antiwick,
-            "Wick-to-anti-Wick decomposition with matrix verification")
+    p = add("expand-antiwick", "Wick-to-anti-Wick decomposition with matrix verification")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--trunc-degree", type=int)
 
-    p = add("garding", cmd_garding, "spectral lower-bound probe across truncations")
+    p = add("garding", "spectral lower-bound probe across truncations")
     p.add_argument("--truncations", required=True, help="comma-separated degrees, e.g. 8,16,32")
 
-    p = add("classify", cmd_classify, "decay classification of an expansion")
+    p = add("classify", "decay classification of an expansion")
     p.add_argument("--family", choices=("roumieu_s", "flat_sigma"), default="roumieu_s")
 
-    p = add("bound-check", cmd_bound_check, "grid check of symbol-class bounds")
+    p = add("bound-check", "grid check of symbol-class bounds")
     p.add_argument("--mode", choices=("gs", "shubin"), default="gs")
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--r", type=float, default=1.0)
@@ -409,7 +410,7 @@ def build_parser():
     p.add_argument("--grid-radius", type=float, default=4.0)
     p.add_argument("--grid-points", type=int, default=5)
 
-    p = add("selftest", cmd_selftest, "run the quadrature-vs-closed-form oracle suite",
+    p = add("selftest", "run the quadrature-vs-closed-form oracle suite",
             needs_input=False, needs_output=False)
     p.add_argument("--output", help="optional JSON report path")
 
@@ -417,10 +418,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on each call, so a rebinding of cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        command(args)
     except UsageError as exc:
         _print_error("usage", exc)
         return EXIT_USAGE

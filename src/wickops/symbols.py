@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import (
     MultiIndex,
     NumericalError,
     UsageError,
-    basis_index_map,
     enumerate_basis,
     grlex_key,
     json_index,
@@ -37,6 +36,10 @@ from .hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 
 KOHN_NIRENBERG = "kohn_nirenberg"
 WEYL = "weyl"
+
+# largest (z, w) grid pair_grid builds: the bound checks hold several complex
+# arrays of this length
+MAX_GRID_PAIRS = 1_000_000
 
 
 def _falling(n: int, k: int) -> int:
@@ -167,7 +170,7 @@ class WickSymbol:
             kind = data.get("kind", "wick")
             terms = _terms_from_json(data["terms"])
             return cls(int(data["dimension"]), terms, point_symbol=(kind == "antiwick"))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
             raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
     def __repr__(self):
@@ -225,7 +228,7 @@ class RealSymbol:
                 raise InputDataError(f"unknown real-symbol kind {kind!r}")
             terms = _terms_from_json(data["terms"])
             return cls(int(data["dimension"]), quant, terms)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
             raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
 
@@ -343,35 +346,63 @@ def japanese_bracket(v):
 # matrix builders
 # ---------------------------------------------------------------------------
 
+def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
+    """Matrix of sum c * prod_j T(alpha_j, beta_j) over the terms
+    {(alpha, beta): c}, between the graded bases of degrees <= n_in (columns)
+    and <= n_out (rows).
+
+    table(a, b) is the (L, L) one-dimensional factor of the exponent pair
+    (a, b), L = n_out + 1, indexed [out degree, in degree]; it is gathered at
+    the row and column multi-indices of each coordinate.  Each distinct pair
+    is tabulated once per call.
+    """
+    rows = np.array(enumerate_basis(d, n_out), dtype=int).reshape(-1, d)
+    cols = rows[: math.comb(n_in + d, d)]
+    tables = {}
+    M = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (alpha, beta), c in terms.items():
+        factor = None
+        for j, pair in enumerate(zip(alpha, beta)):
+            if pair not in tables:
+                tables[pair] = table(*pair)
+            gathered = tables[pair][rows[:, j, None], cols[None, :, j]]
+            factor = gathered if factor is None else factor * gathered
+        M += c * factor
+    return OperatorMatrix(d, n_in, n_out, side, M)
+
+
+def _fock_table(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
+    """1-d factor of the term (p, q) in the closed forms of wick_matrix and
+    antiwick_matrix: e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q}
+    when top >= q, with top = g (Wick) or g + p (anti-Wick)."""
+    T = np.zeros((L, L))
+    for g in range(max(0, q - p), min(L, L + q - p)):
+        top = g + p if antiwick else g
+        if top >= q:
+            T[g + p - q, g] = _falling(top, q) * math.sqrt(
+                math.factorial(g + p - q) / math.factorial(g))
+    return T
+
+
 def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Wick operator of a polynomial symbol.
 
     The monomial z^alpha conj(w)^beta acts normal-ordered as
     (multiply by z^alpha) o (d/dz)^beta, giving
 
-        e_g -> [g!/(g-b)!] sqrt((g-b+a)! / g!) e_{g-b+a}   when g >= b.
+        e_g -> [g!/(g-b)!] sqrt((g-b+a)! / g!) e_{g-b+a}   when g >= b,
 
-    Columns span degrees <= n_in; rows extend to n_in + z_degree so the
-    matrix is exact on its domain.
+    a product of such factors over the coordinates.  Columns span degrees
+    <= n_in; rows extend to n_in + z_degree so the matrix is exact on its
+    domain.
     """
     if a.point_symbol:
         raise UsageError("point symbols are anti-Wick data; use antiwick_matrix")
     if n_in < 0:
         raise UsageError(f"n_in must be >= 0, got {n_in}")
-    d = a.dimension
     n_out = n_in + a.z_degree
-    basis_in = enumerate_basis(d, n_in)
-    out_index = basis_index_map(d, n_out)
-    M = np.zeros((len(out_index), len(basis_in)), dtype=complex)
-    for (alpha, beta), c in a.terms.items():
-        for col, gamma in enumerate(basis_in):
-            if not gamma.dominates(beta):
-                continue
-            target = gamma - beta + alpha
-            weight = _falling_multi(gamma, beta) * math.sqrt(
-                target.factorial() / gamma.factorial())
-            M[out_index[target], col] += c * weight
-    return OperatorMatrix(d, n_in, n_out, FOCK, M)
+    return _assemble(a.terms, a.dimension, n_in, n_out,
+                     lambda p, q: _fock_table(p, q, n_out + 1, False), FOCK)
 
 
 def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
@@ -380,7 +411,9 @@ def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
     Gaussian-moment evaluation: for a0 = w^s conj(w)^t,
 
         e_g -> d^t [z^{s+g}] / sqrt(g!)
-             = [(s+g)!/(s+g-t)!] sqrt((s+g-t)! / g!) e_{s+g-t}  when s+g >= t.
+             = [(s+g)!/(s+g-t)!] sqrt((s+g-t)! / g!) e_{s+g-t}  when s+g >= t,
+
+    a product of such factors over the coordinates.
     """
     if n_in < 0:
         raise UsageError(f"n_in must be >= 0, got {n_in}")
@@ -392,125 +425,68 @@ def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
                         {(MultiIndex.zero(a0.dimension), b): c
                          for (_, b), c in a0.terms.items()},
                         point_symbol=True)
-    d = a0.dimension
-    holo_degree = max((s.degree() for s, _ in a0.terms), default=0)
-    n_out = n_in + holo_degree
-    basis_in = enumerate_basis(d, n_in)
-    out_index = basis_index_map(d, n_out)
-    M = np.zeros((len(out_index), len(basis_in)), dtype=complex)
-    for (sigma, tau), c in a0.terms.items():
-        for col, gamma in enumerate(basis_in):
-            top = sigma + gamma
-            if not top.dominates(tau):
-                continue
-            target = top - tau
-            weight = _falling_multi(top, tau) * math.sqrt(
-                target.factorial() / gamma.factorial())
-            M[out_index[target], col] += c * weight
-    return OperatorMatrix(d, n_in, n_out, FOCK, M)
+    n_out = n_in + max((s.degree() for s, _ in a0.terms), default=0)
+    return _assemble(a0.terms, a0.dimension, n_in, n_out,
+                     lambda p, q: _fock_table(p, q, n_out + 1, True), FOCK)
 
 
-def _apply_position(f: CoefficientExpansion, j: int) -> CoefficientExpansion:
-    """Multiply by x_j, via x = (A + A+)/2."""
-    up = apply_ladder(f, LadderKind(CREATION, j))
-    down = apply_ladder(f, LadderKind(ANNIHILATION, j))
-    return up.plus(down).scaled(0.5)
+def _position_momentum(L: int):
+    """1-d position X = (C + A)/2 and momentum D = -i d/dx = -i(A - C)/2 as
+    (L, L) matrices on h_0 .. h_{L-1}, read off apply_ladder (C creation,
+    A annihilation)."""
+    ladders = {CREATION: np.zeros((L, L)), ANNIHILATION: np.zeros((L, L))}
+    for g in range(L):
+        unit = CoefficientExpansion(1, HERMITE, {(g,): 1.0})
+        for kind, T in ladders.items():
+            for (n,), v in apply_ladder(unit, LadderKind(kind)).coeffs.items():
+                if n < L:
+                    T[n, g] = v.real
+    C, A = ladders[CREATION], ladders[ANNIHILATION]
+    return (C + A) / 2, -0.5j * (A - C)
 
 
-def _apply_derivative(f: CoefficientExpansion, j: int) -> CoefficientExpansion:
-    """Apply d/dx_j, via d/dx = (A+ - A)/2."""
-    down = apply_ladder(f, LadderKind(ANNIHILATION, j))
-    up = apply_ladder(f, LadderKind(CREATION, j))
-    return down.plus(up.scaled(-1.0)).scaled(0.5)
-
-
-def _apply_momentum(f: CoefficientExpansion, j: int) -> CoefficientExpansion:
-    """Apply D_j = -i d/dx_j."""
-    return _apply_derivative(f, j).scaled(-1j)
-
-
-def _columns_to_matrix(columns, d, n_in, n_out) -> OperatorMatrix:
-    out_index = basis_index_map(d, n_out)
-    M = np.zeros((len(out_index), len(columns)), dtype=complex)
-    for col, expansion in enumerate(columns):
-        for alpha, c in expansion.coeffs.items():
-            M[out_index[alpha], col] = c
-    return OperatorMatrix(d, n_in, n_out, HERMITE, M)
+def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
+    if b.quantization != quantization:
+        raise UsageError(f"symbol is not tagged {quantization}")
+    if n_in < 0:
+        raise UsageError(f"n_in must be >= 0, got {n_in}")
+    n_out = n_in + b.total_degree
+    X, D = _position_momentum(n_out + 1)
+    power = np.linalg.matrix_power
+    if quantization == KOHN_NIRENBERG:
+        def table(p, q):
+            return power(X, p) @ power(D, q)
+    else:
+        def table(p, q):
+            return sum(math.comb(p, k) * (power(X, k) @ power(D, q) @ power(X, p - k))
+                       for k in range(p + 1)) / 2**p
+    return _assemble(b.terms, b.dimension, n_in, n_out, table, HERMITE)
 
 
 def kn_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Kohn-Nirenberg quantization sum c x^alpha D^beta
-    (all position factors to the left of all momentum factors)."""
-    if b.quantization != KOHN_NIRENBERG:
-        raise UsageError("symbol is not tagged kohn_nirenberg")
-    if n_in < 0:
-        raise UsageError(f"n_in must be >= 0, got {n_in}")
-    d = b.dimension
-    n_out = n_in + b.total_degree
-    basis_in = enumerate_basis(d, n_in)
-    columns = []
-    for gamma in basis_in:
-        unit = CoefficientExpansion(d, HERMITE, {gamma: 1.0})
-        acc = CoefficientExpansion(d, HERMITE, {})
-        for (alpha, beta), c in b.terms.items():
-            g = unit
-            for j in range(d):
-                for _ in range(beta[j]):
-                    g = _apply_momentum(g, j)
-            for j in range(d):
-                for _ in range(alpha[j]):
-                    g = _apply_position(g, j)
-            acc = acc.plus(g.scaled(c))
-        columns.append(acc)
-    return _columns_to_matrix(columns, d, n_in, n_out)
+    (all position factors to the left of all momentum factors).
 
-
-def _weyl_words(n_x: int, n_d: int):
-    """All distinct interleavings of n_x position and n_d momentum factors."""
-    total = n_x + n_d
-    for positions in combinations(range(total), n_x):
-        yield tuple("x" if i in positions else "D" for i in range(total))
-
-
-def _apply_word(f: CoefficientExpansion, word, j: int) -> CoefficientExpansion:
-    # operator words act right to left
-    for factor in reversed(word):
-        f = _apply_position(f, j) if factor == "x" else _apply_momentum(f, j)
-    return f
+    Each coordinate contributes the 1-d table X^a D^b, with X and D the 1-d
+    position and momentum matrices read off the ladder operators; truncated
+    at n_out = n_in + total degree, their products are exact on the domain.
+    """
+    return _real_matrix(b, n_in, KOHN_NIRENBERG)
 
 
 def weyl_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Weyl quantization.
 
-    Each monomial x^alpha xi^beta is realized as the average over all
-    interleavings of its position and momentum factors (per coordinate;
-    factors in distinct coordinates commute).  Equivalent to the double
-    integral formula for polynomial symbols, and exact at desk scale.
+    Each coordinate contributes the 1-d table of the Weyl-ordered product
+    of x^a xi^b, through the symmetric-ordering identity
+
+        Op^w(x^a xi^b) = 2^{-a} sum_k binom(a, k) X^k D^b X^{a-k},
+
+    with X and D as in kn_matrix (factors in distinct coordinates commute).
+    Equivalent to the double integral formula for polynomial symbols; the
+    cost is polynomial in the degree.
     """
-    if b.quantization != WEYL:
-        raise UsageError("symbol is not tagged weyl")
-    if n_in < 0:
-        raise UsageError(f"n_in must be >= 0, got {n_in}")
-    d = b.dimension
-    n_out = n_in + b.total_degree
-    basis_in = enumerate_basis(d, n_in)
-    columns = []
-    for gamma in basis_in:
-        unit = CoefficientExpansion(d, HERMITE, {gamma: 1.0})
-        acc = CoefficientExpansion(d, HERMITE, {})
-        for (alpha, beta), c in b.terms.items():
-            g = unit
-            for j in range(d):
-                if alpha[j] == 0 and beta[j] == 0:
-                    continue
-                words = list(_weyl_words(alpha[j], beta[j]))
-                avg = CoefficientExpansion(d, HERMITE, {})
-                for word in words:
-                    avg = avg.plus(_apply_word(g, word, j))
-                g = avg.scaled(1.0 / len(words))
-            acc = acc.plus(g.scaled(c))
-        columns.append(acc)
-    return _columns_to_matrix(columns, d, n_in, n_out)
+    return _real_matrix(b, n_in, WEYL)
 
 
 def quantization_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
@@ -636,7 +612,15 @@ class BoundReport:
 
 
 def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7):
-    """Cartesian grid of (z, w) pairs in C^d x C^d; desk-scale default."""
+    """Cartesian grid of (z, w) pairs in C^d x C^d; desk-scale default.
+    Grids of more than MAX_GRID_PAIRS pairs are refused before allocation."""
+    if points_per_axis < 1:
+        raise UsageError(f"a grid needs at least 1 point per axis, got {points_per_axis}")
+    n_pairs = points_per_axis ** (4 * dimension)
+    if n_pairs > MAX_GRID_PAIRS:
+        raise UsageError(f"a grid of {points_per_axis} points per axis in dimension "
+                         f"{dimension} has {n_pairs} (z, w) pairs, over the budget of "
+                         f"{MAX_GRID_PAIRS}; use fewer grid points")
     axis = np.linspace(-radius, radius, points_per_axis)
     singles = [np.array(p, dtype=complex)
                for p in product(*[[complex(x, y) for x in axis for y in axis]] * dimension)]

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wickops
+import wickops.cli
 from wickops.cli import main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError
 from wickops.symbols import OperatorMatrix, RealSymbol, WickSymbol, wick_matrix
@@ -169,6 +176,41 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+    def test_parser_reuse_keeps_report_bytes(self, tmp_path, capsys, oscillator_wick):
+        # several subcommands in one process, an argparse error between each
+        # pair, against the same calls in fresh interpreters
+        calls = [["wick-matrix", "--input", oscillator_wick, "--degree", "4"],
+                 ["garding", "--input", oscillator_wick, "--truncations", "4,8"],
+                 ["expand-antiwick", "--input", oscillator_wick, "--order", "1"],
+                 ["wick-matrix", "--input", oscillator_wick, "--degree", "4",
+                  "--format", "csv"]]
+        for i, argv in enumerate(calls):
+            assert main([*argv, "--output", str(tmp_path / f"same-{i}")]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["garding", "--input", oscillator_wick])  # --output missing
+            assert exc.value.code == 2
+        capsys.readouterr()
+        src = str(Path(wickops.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        script = "import sys; from wickops.cli import main; sys.exit(main(sys.argv[1:]))"
+        for i, argv in enumerate(calls):
+            fresh = tmp_path / f"fresh-{i}"
+            subprocess.run([sys.executable, "-c", script, *argv, "--output", str(fresh)],
+                           env=env, check=True, timeout=120)
+            assert (tmp_path / f"same-{i}").read_bytes() == fresh.read_bytes()
+
+    def test_dispatch_follows_rebound_subcommands(self, tmp_path, monkeypatch,
+                                                  oscillator_wick):
+        out = tmp_path / "o.json"
+        argv = ["wick-matrix", "--input", oscillator_wick, "--output", str(out)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(wickops.cli, "cmd_wick_matrix", seen.append)
+        assert main(argv) == 0
+        assert [a.command for a in seen] == ["wick-matrix"]
+
+
 class TestOutputDirEnv:
     def test_relative_paths_redirected(self, tmp_path, monkeypatch, oscillator_wick):
         monkeypatch.setenv("WICKOPS_OUTPUT_DIR", str(tmp_path))
@@ -257,6 +299,36 @@ class TestErrorExitCodes:
         assert code == 4
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "numerical" and "radius 40" in error["message"]
+
+
+    @pytest.mark.parametrize("kind,argv", [("wick", ["garding", "--truncations", "4,8"]),
+                                           ("weyl", ["weyl-matrix"])])
+    @pytest.mark.parametrize("dimension,index", [(1, [1, 0]), (0, [])])
+    def test_wrong_length_symbol_key_is_input_error(self, tmp_path, capsys, kind, argv,
+                                                    dimension, index):
+        symbol = {"dimension": dimension, "kind": kind,
+                  "terms": [{"alpha": index, "beta": index, "value": [1.0, 0.0]}]}
+        inp = write_json(tmp_path / "s.json", symbol)
+        assert main([argv[0], "--input", inp, "--output", str(tmp_path / "o.json"),
+                     *argv[1:]]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "input-data"
+
+    def test_over_budget_grid_is_refused_at_once(self, tmp_path, capsys):
+        a = WickSymbol(2, {((1, 0), (0, 1)): 1.0})
+        inp = write_json(tmp_path / "d2.json", a.to_json_dict())
+        t0 = time.perf_counter()
+        code = main(["bound-check", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--grid-points", "7"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0  # refused before building 5.76M pairs
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage"
+        assert "5764801" in error["message"] and "1000000" in error["message"]
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_empty_grid_is_usage_error(self, tmp_path, oscillator_wick, points):
+        assert main(["bound-check", "--input", oscillator_wick, "--output",
+                     str(tmp_path / "o.json"), "--grid-points", points]) == 2
 
 
 class TestSelftest:

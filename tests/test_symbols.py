@@ -1,10 +1,22 @@
+import functools
 import math
+import time
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from wickops.bargmann import evaluate_fock
-from wickops.core import FOCK, CoefficientExpansion, NumericalError, UsageError, enumerate_basis
+from wickops.core import (
+    FOCK,
+    HERMITE,
+    CoefficientExpansion,
+    NumericalError,
+    UsageError,
+    basis_index_map,
+    enumerate_basis,
+)
+from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 from wickops.symbols import (
     KOHN_NIRENBERG,
     WEYL,
@@ -13,10 +25,12 @@ from wickops.symbols import (
     ShubinWeight,
     WickSymbol,
     antiwick_matrix,
+    enumerate_symbol_keys,
     japanese_bracket,
     kn_matrix,
     matrix_apply_at_point,
     pair_grid,
+    quantization_matrix,
     real_to_wick_symbol,
     shubin_estimate_check,
     symbol_bound_check,
@@ -238,6 +252,121 @@ class TestWeylMatrix:
         assert np.allclose(weyl_matrix(bw, 5).entries, kn_matrix(bk, 5).entries)
 
 
+def _loop_matrix(symbol, n_in, antiwick):
+    """Reference Wick / anti-Wick matrix by per-column loops with exact integer
+    factorials: the term (p, q) sends e_g to
+    top!/(top-q)! sqrt((g+p-q)!/g!) e_{g+p-q}, top = g (Wick) or g + p (anti-Wick)."""
+    d = symbol.dimension
+    n_out = n_in + max((p.degree() for p, _ in symbol.terms), default=0)
+    out_index = basis_index_map(d, n_out)
+    basis_in = enumerate_basis(d, n_in)
+    M = np.zeros((len(out_index), len(basis_in)), dtype=complex)
+    for (p, q), c in symbol.terms.items():
+        for col, g in enumerate(basis_in):
+            top = g + p if antiwick else g
+            if not top.dominates(q):
+                continue
+            target = g + p - q
+            weight = math.prod(math.perm(t, k) for t, k in zip(top, q)) * math.sqrt(
+                target.factorial() / g.factorial())
+            M[out_index[target], col] += c * weight
+    return M
+
+
+class TestAssemblerAgainstLoops:
+    """The array assembler against per-column loops: bitwise at d = 1, where
+    the arithmetic is the same; to rounding level at d >= 2, where the
+    factorial ratio is taken per coordinate."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("antiwick", [False, True])
+    def test_random_symbols(self, d, antiwick):
+        rng = np.random.default_rng(5 * d + antiwick)
+        for _ in range(3):
+            a = WickSymbol(d, _random_terms(rng, d, 6), point_symbol=antiwick)
+            got = (antiwick_matrix if antiwick else wick_matrix)(a, 5).entries
+            want = _loop_matrix(a, 5, antiwick)
+            if d == 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _ladder_dense(d, n, kind, j):
+    """One ladder factor as a dense matrix on the hermite basis of degree <= n,
+    column by column through apply_ladder (images past degree n dropped)."""
+    index = basis_index_map(d, n)
+    M = np.zeros((len(index), len(index)))
+    for gamma, col in index.items():
+        image = apply_ladder(CoefficientExpansion(d, HERMITE, {gamma: 1.0}),
+                             LadderKind(kind, j))
+        for alpha, v in image.coeffs.items():
+            if alpha in index:
+                M[index[alpha], col] = v.real
+    return M
+
+
+def _word_average_matrix(b, n_in):
+    """Reference real-side matrix on the full d-dimensional basis: per
+    coordinate, the average over all interleavings of the position and
+    momentum factors (Weyl), or the single word with positions left of
+    momenta (Kohn-Nirenberg); x = (A+ + A)/2 and D = -i(A - A+)/2."""
+    d = b.dimension
+    n_out = n_in + b.total_degree
+    size = len(basis_index_map(d, n_out))
+    factors = {}
+    for j in range(d):
+        up, down = (_ladder_dense(d, n_out, kind, j) for kind in (CREATION, ANNIHILATION))
+        factors["x", j] = (up + down) / 2
+        factors["D", j] = -0.5j * (down - up)
+    total = np.zeros((size, size), dtype=complex)
+    for (alpha, beta), c in b.terms.items():
+        op = np.eye(size)
+        for j in range(d):
+            n = alpha[j] + beta[j]
+            if b.quantization == WEYL:
+                words = [["x" if i in xs else "D" for i in range(n)]
+                         for xs in combinations(range(n), alpha[j])]
+            else:
+                words = [["x"] * alpha[j] + ["D"] * beta[j]]
+            # a word acts right to left: its matrix is the product in word order
+            op = sum(functools.reduce(np.matmul, [factors[f, j] for f in word], np.eye(size))
+                     for word in words) / len(words) @ op
+        total += c * op
+    return total[:, : len(enumerate_basis(d, n_in))]
+
+
+class TestWordAverageOracle:
+    @pytest.mark.parametrize("quant", [KOHN_NIRENBERG, WEYL])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_monomial_to_degree_four(self, quant, d):
+        for alpha, beta in enumerate_symbol_keys(d, 4):
+            b = RealSymbol(d, quant, {(alpha, beta): 1.0})
+            want = _word_average_matrix(b, 5)
+            got = quantization_matrix(b, 5).entries
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("quant", [KOHN_NIRENBERG, WEYL])
+    def test_mixed_symbol(self, quant):
+        rng = np.random.default_rng(4)
+        b = RealSymbol(2, quant, _random_terms(rng, 2, 6, degree=2))
+        want = _word_average_matrix(b, 3)
+        assert np.max(np.abs(quantization_matrix(b, 3).entries - want)) <= \
+            1e-12 * np.max(np.abs(want))
+
+    def test_x5_xi5_at_degree_16(self):
+        b = RealSymbol(1, WEYL, {((5,), (5,)): 1.0})
+        want = _word_average_matrix(b, 16)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = weyl_matrix(b, 16).entries
+            seconds.append(time.perf_counter() - t0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert min(seconds) < 0.05
+
+
 class TestRealToWickSymbol:
     def test_position_symbol(self):
         b = RealSymbol(1, KOHN_NIRENBERG, {((1,), (0,)): 1.0})
@@ -267,8 +396,6 @@ class TestRealToWickSymbol:
     def test_correspondence_degree_three(self, quant, d):
         # every monomial of total degree <= 3: the Wick route reproduces the
         # quantization matrix entry-exactly
-        from wickops.symbols import enumerate_symbol_keys, quantization_matrix
-
         for alpha, beta in enumerate_symbol_keys(d, 3):
             b = RealSymbol(d, quant, {(alpha, beta): 1.0})
             a = real_to_wick_symbol(b)
