@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -86,8 +88,13 @@ def _resolve_output(path):
     return path
 
 
-def _emit(payload, args, csv_rows=None):
-    """Write the report; payload always carries the resolved config + version."""
+def _emit(payload, args, csv_lines=None):
+    """Write the report; payload always carries the resolved config + version.
+
+    JSON reports are the bytes of json.dump(payload, fh, indent=2,
+    sort_keys=True) plus a newline, written by _write_json; CSV reports are
+    a version comment and then csv_lines, one per line.
+    """
     payload = dict(payload)
     # the output path is where the report goes, not part of what it computes,
     # so it is left out to keep identical configs byte-identical
@@ -96,26 +103,101 @@ def _emit(payload, args, csv_rows=None):
     payload["version"] = __version__
     path = _resolve_output(args.output)
     if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
+        if csv_lines is None:
             raise UsageError("this subcommand has no CSV rendering; use --format json")
         with open(path, "w") as fh:
             fh.write("# wickops " + __version__ + "\n")
-            for row in csv_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.writelines(line + "\n" for line in csv_lines)
     else:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(fh, payload)
     return path
 
 
+# The stdlib's C encoder runs only without indent; an indented json.dump
+# encodes token by token in Python.  So _write_json lets the C encoder spell
+# each piece of up to _PIECE list items on one line and indents that text
+# itself.  A piece qualifies when its items are all scalars, or all non-empty
+# rows of scalars: the compact text then holds no string, so ", " and "], ["
+# occur only as separators.
+_compact = json.JSONEncoder().encode
+_PIECE = 1024
+_SCALARS = (int, float, type(None))
+
+
+def _write_json(fh, obj):
+    """Write obj to fh as json.dump(obj, fh, indent=2, sort_keys=True) does,
+    then a newline, without holding the whole text.  Dict keys must be str."""
+    _write_value(fh.write, obj, 0)
+    fh.write("\n")
+
+
+def _write_value(write, obj, level):
+    if isinstance(obj, dict):
+        _write_dict(write, obj, level)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(write, obj, level)
+    else:
+        write(_compact(obj))
+
+
+def _write_dict(write, obj, level):
+    if not obj:
+        write("{}")
+        return
+    indent = "\n" + "  " * (level + 1)
+    sep = "{" + indent
+    for key, value in sorted(obj.items()):
+        write(sep + encode_basestring_ascii(key) + ": ")
+        _write_value(write, value, level + 1)
+        sep = "," + indent
+    write("\n" + "  " * level + "}")
+
+
+def _write_list(write, items, level):
+    if not items:
+        write("[]")
+        return
+    indent = "\n" + "  " * (level + 1)
+    sep = "[" + indent
+    for start in range(0, len(items), _PIECE):
+        piece = items[start:start + _PIECE]
+        text = _indented_piece(piece, indent)
+        if text is not None:
+            write(sep + text)
+            sep = "," + indent
+            continue
+        for item in piece:
+            write(sep)
+            _write_value(write, item, level + 1)
+            sep = "," + indent
+    write("\n" + "  " * level + "]")
+
+
+def _indented_piece(items, indent):
+    """The C encoder's text of a piece of list items, indented for a list
+    whose items start at `indent`; None unless the items are all scalars or
+    all non-empty rows of scalars."""
+    types = set(map(type, items))
+    if all(issubclass(t, _SCALARS) for t in types):
+        return _compact(items)[1:-1].replace(", ", "," + indent)
+    if types != {list} or not all(items):
+        return None
+    text = _compact(items)
+    # no string, hence no non-empty dict, and no list below the rows
+    if '"' in text or text.count("[") != len(items) + 1:
+        return None
+    inner = indent + "  "
+    body = text[2:-2].replace("], [", indent + "]," + indent + "[" + inner)
+    return "[" + inner + body.replace(", ", "," + inner) + indent + "]"
+
+
 def _matrix_csv(M: OperatorMatrix):
-    rows = [("row", "col", "re", "im")]
-    for i in range(M.entries.shape[0]):
-        for j in range(M.entries.shape[1]):
-            v = M.entries[i, j]
-            rows.append((i, j, repr(float(v.real)), repr(float(v.imag))))
-    return rows
+    """CSV lines of a matrix: a header, then row,col,re,im per entry in C order."""
+    rows, cols = (ix.ravel().tolist() for ix in np.indices(M.entries.shape))
+    pairs = M.to_json_dict()["entries"]
+    return ["row,col,re,im"] + [f"{i},{j},{re!r},{im!r}"
+                                for i, j, (re, im) in zip(rows, cols, pairs)]
 
 
 def _expression_callback(expr: str, dimension: int):
@@ -187,7 +269,7 @@ def _matrix_command(args, builder, loader):
     degree = args.degree if args.degree is not None else 8
     M = builder(symbol, degree)
     if args.format == "csv":
-        return _emit({}, args, csv_rows=_matrix_csv(M))
+        return _emit({}, args, csv_lines=_matrix_csv(M))
     return _emit({"result": M.to_json_dict()}, args)
 
 
@@ -231,10 +313,11 @@ def cmd_garding(args):
         raise UsageError(
             f"--truncations must be comma-separated integers, got {args.truncations!r}") from exc
     report = garding_check(a, truncations)
-    rows = [("truncation", "min_real_eigenvalue", "max_imag_norm")]
-    rows += list(zip(report.truncation_degrees, report.min_real_eigenvalues,
-                     report.max_imag_norms))
-    return _emit({"result": report.to_json_dict()}, args, csv_rows=rows)
+    rows = zip(report.truncation_degrees, report.min_real_eigenvalues, report.max_imag_norms)
+    # rendered only if the report is CSV
+    lines = itertools.chain(["truncation,min_real_eigenvalue,max_imag_norm"],
+                            (",".join(map(str, row)) for row in rows))
+    return _emit({"result": report.to_json_dict()}, args, csv_lines=lines)
 
 
 def cmd_classify(args):

@@ -19,6 +19,10 @@ import numpy as np
 HERMITE = "hermite"
 FOCK = "fock"
 
+# Largest tensor quadrature rule built, in nodes; beyond it the node arrays
+# and the per-basis-function passes over them run unbounded.
+MAX_QUAD_NODES = 1_000_000
+
 __all__ = [
     "CalculusError",
     "UsageError",
@@ -184,8 +188,13 @@ def tensor_rule(rule: QuadratureRule, d: int):
     Returns (points, weights, index_grid): points has shape (order^d, d),
     weights is the product weight, index_grid holds the 1-d node index used
     in each coordinate (handy for reusing per-coordinate value tables).
+    Rules of more than MAX_QUAD_NODES nodes are refused before allocation.
     """
     q = rule.order
+    n_nodes = q ** d
+    if n_nodes > MAX_QUAD_NODES:
+        raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "
+                         f"over the budget of {MAX_QUAD_NODES}; lower the quadrature order")
     grids = np.meshgrid(*([np.arange(q)] * d), indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=1)
     points = rule.nodes[idx]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     HERMITE,
+    CalculusError,
     CoefficientExpansion,
     InputDataError,
     MultiIndex,
@@ -74,11 +75,14 @@ def hermite_function(alpha, x) -> float:
 
 def _sample(f, points) -> np.ndarray:
     """Evaluate a callback at quadrature points, accepting either a vectorized
-    callback over an (n, d) array or a per-point callable."""
+    callback over an (n, d) array or a per-point callable.  A CalculusError
+    from the callback is its answer, not a sign that it is per-point."""
     try:
         vals = np.asarray(f(points), dtype=complex)
         if vals.shape != (points.shape[0],):
             raise ValueError
+    except CalculusError:
+        raise
     except Exception:
         vals = np.array([complex(f(p)) for p in points])
     bad = np.flatnonzero(~np.isfinite(vals))

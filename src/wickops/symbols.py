@@ -290,7 +290,9 @@ class OperatorMatrix:
             "n_in": self.domain_degree,
             "n_out": self.codomain_degree,
             "side": self.basis_side,
-            "entries": [[v.real, v.imag] for v in self.entries.ravel(order="C")],
+            # one [re, im] pair per entry, rows in order
+            "entries": np.ascontiguousarray(self.entries, dtype=complex)
+                         .view(float).reshape(-1, 2).tolist(),
         }
 
     @classmethod

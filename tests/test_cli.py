@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 import os
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import wickops
 import wickops.cli
-from wickops.cli import main
-from wickops.core import CoefficientExpansion, HERMITE, InputDataError
-from wickops.symbols import OperatorMatrix, RealSymbol, WickSymbol, wick_matrix
+from wickops.cli import _write_json, main
+from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
+from wickops.symbols import (OperatorMatrix, RealSymbol, WickSymbol, weyl_matrix,
+                             wick_matrix)
 
 
 def write_json(path, obj):
@@ -211,6 +215,124 @@ class TestDeterminism:
         assert [a.command for a in seen] == ["wick-matrix"]
 
 
+def _stdlib_report(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _written(obj):
+    fh = io.StringIO()
+    _write_json(fh, obj)
+    return fh.getvalue()
+
+
+_NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.sampled_from([10**40, -2**70, -0.0]),
+                     st.floats(), st.floats().map(np.float64))
+_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ['"], ["', ", ", "], [", '\\"', "\u00e9\u2603\U0001f600", "\n\t\x00\x1f"]))
+_ROWS = st.lists(st.lists(_NUMBERS, min_size=1, max_size=4), max_size=6)
+_TREES = st.recursive(
+    _NUMBERS | _STRINGS | _ROWS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_STRINGS, children, max_size=5),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """The report writer against the stdlib's indented encoder."""
+
+    @given(_TREES)
+    @example([[1.0], 2])
+    @example([[1, [2]], 3])
+    @example([[1, [2]], [3]])
+    @example([[], [1.0]])
+    @example([["], [", 1.0], [", ", 2.0]])
+    @example([["a, b", 1.0], ["c"]])
+    @example([[{}, 1.0]])
+    @example({"z": [float("nan"), float("inf"), -float("inf"), -0.0, np.float64(0.1)]})
+    @example([[float(i) / 7, -i] for i in range(2500)])
+    @example([[0.5, 1.5]] * 1100 + [[1, [2]]] + [[2.5]] * 1100)
+    @example(list(range(3000)) + [[1.0]])
+    def test_matches_indented_json_dump(self, tree):
+        assert _written(tree) == _stdlib_report(tree)
+
+    def test_non_str_key_is_refused(self):
+        with pytest.raises(TypeError):
+            _written({1: 2.0})
+
+    def test_matrix_entries_match_per_entry_loop(self):
+        a = WickSymbol(2, {((1, 0), (0, 1)): 0.3 - 1.7j, ((2, 1), (0, 0)): -0.0 + 2j / 3})
+        M = wick_matrix(a, 4)
+        want = [[v.real, v.imag] for v in M.entries.ravel(order="C")]
+        assert M.to_json_dict()["entries"] == want
+        fortran = dataclasses.replace(M, entries=np.asfortranarray(M.entries))
+        assert fortran.to_json_dict()["entries"] == want
+
+
+@pytest.fixture
+def report_inputs(tmp_path):
+    wick = WickSymbol(1, {((1,), (1,)): 2.0, ((0,), (0,)): 1.0,
+                          ((2,), (1,)): 0.3 + 0.1j, ((1,), (2,)): 0.3 - 0.1j})
+    point = WickSymbol(1, wick.terms, point_symbol=True)
+    real = RealSymbol(1, "weyl", {((2,), (0,)): 1.0, ((1,), (1,)): 0.7 - 0.2j})
+    kn = RealSymbol(1, "kohn_nirenberg", real.terms)
+    decay = CoefficientExpansion(1, HERMITE, {(k,): math.exp(-k) for k in range(40)})
+    return {
+        "wick": write_json(tmp_path / "wick.json", wick.to_json_dict()),
+        "antiwick": write_json(tmp_path / "antiwick.json", point.to_json_dict()),
+        "real": write_json(tmp_path / "real.json", real.to_json_dict()),
+        "kn": write_json(tmp_path / "kn.json", kn.to_json_dict()),
+        "decay": write_json(tmp_path / "decay.json", decay.to_json_dict()),
+        "expr": write_json(tmp_path / "expr.json",
+                           {"dimension": 1, "expression": "exp(-x0**2 / 2) * cos(x0)"}),
+    }
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("command,source,options", [
+        ("hermite-coeffs", "expr", ["--degree", "6"]),
+        ("bargmann", "decay", ["--cross-check", "2"]),
+        ("wick-matrix", "wick", ["--degree", "4"]),
+        ("antiwick-matrix", "antiwick", ["--degree", "4"]),
+        ("kn-matrix", "kn", ["--degree", "4"]),
+        ("weyl-matrix", "real", ["--degree", "4"]),
+        ("to-wick", "real", []),
+        ("expand-antiwick", "wick", ["--order", "1"]),
+        ("garding", "wick", ["--truncations", "4,8"]),
+        ("classify", "decay", []),
+        ("bound-check", "wick", ["--mode", "gs"]),
+        ("bound-check", "wick", ["--mode", "shubin", "--grid-points", "3"]),
+        ("selftest", None, []),
+    ])
+    def test_json_report_is_the_stdlib_dump(self, tmp_path, capsys, report_inputs,
+                                            command, source, options):
+        out = tmp_path / "report.json"
+        inputs = ["--input", report_inputs[source]] if source else []
+        assert main([command, *inputs, "--output", str(out), *options]) == 0
+        text = out.read_text()
+        assert text == _stdlib_report(json.loads(text))
+
+    @pytest.mark.parametrize("command,builder,loader,source", [
+        ("wick-matrix", wick_matrix, WickSymbol.from_json_dict, "wick"),
+        ("weyl-matrix", weyl_matrix, RealSymbol.from_json_dict, "real"),
+    ])
+    def test_matrix_csv_matches_per_entry_loop(self, tmp_path, report_inputs,
+                                               command, builder, loader, source):
+        out = tmp_path / "m.csv"
+        assert main([command, "--input", report_inputs[source], "--output", str(out),
+                     "--degree", "5", "--format", "csv"]) == 0
+        M = builder(loader(read_json(Path(report_inputs[source]))), 5)
+        # reference: one entry at a time
+        rows = [("row", "col", "re", "im")]
+        for i in range(M.entries.shape[0]):
+            for j in range(M.entries.shape[1]):
+                v = M.entries[i, j]
+                rows.append((i, j, repr(float(v.real)), repr(float(v.imag))))
+        want = "# wickops " + wickops.__version__ + "\n"
+        want += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+        assert out.read_text() == want
+
+
 class TestOutputDirEnv:
     def test_relative_paths_redirected(self, tmp_path, monkeypatch, oscillator_wick):
         monkeypatch.setenv("WICKOPS_OUTPUT_DIR", str(tmp_path))
@@ -324,6 +446,27 @@ class TestErrorExitCodes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "usage"
         assert "5764801" in error["message"] and "1000000" in error["message"]
+
+    @pytest.mark.parametrize("expression,dimension", [("exp(-x0**2/2", 1), ("x5", 1)])
+    def test_bad_expression_is_input_error(self, tmp_path, capsys, expression, dimension):
+        inp = write_json(tmp_path / "e.json",
+                         {"dimension": dimension, "expression": expression})
+        assert main(["hermite-coeffs", "--input", inp, "--output",
+                     str(tmp_path / "o.json"), "--degree", "4"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "input-data" and expression in error["message"]
+
+    def test_over_budget_quadrature_is_refused_at_once(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "d4.json", {
+            "dimension": 4, "expression": "exp(-(x0**2 + x1**2 + x2**2 + x3**2) / 2)"})
+        t0 = time.perf_counter()
+        code = main(["hermite-coeffs", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--degree", "30"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0  # refused before building 50^4 nodes
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage"
+        assert "6250000" in error["message"] and str(MAX_QUAD_NODES) in error["message"]
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_empty_grid_is_usage_error(self, tmp_path, oscillator_wick, points):
