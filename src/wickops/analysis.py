@@ -30,6 +30,10 @@ H0 = "h0"
 
 MIN_SHELLS = 4
 
+# Largest default diagonal grid built, in points; the d-fold product grid
+# has 41^d points (68,921 at d = 3, 2,825,761 at d = 4).
+MAX_DIAG_POINTS = 1_000_000
+
 
 @dataclass
 class DecayFit:
@@ -173,13 +177,18 @@ class GardingReport:
 def default_diag_grid(dimension: int = 1, radius: float = 4.0,
                       n_radii: int = 33, n_angles: int = 64):
     """Polar grid over the disk of the given radius (d = 1); for d > 1 a
-    coarse per-coordinate polar product is used."""
+    coarse per-coordinate polar product is used.  Product grids of more than
+    MAX_DIAG_POINTS points are refused before allocation."""
     radii = np.linspace(0.0, radius, n_radii)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     pts_1d = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if dimension == 1:
         return pts_1d[:, None]
     coarse = pts_1d[:: max(1, len(pts_1d) // 40)]
+    n_points = len(coarse) ** dimension
+    if n_points > MAX_DIAG_POINTS:
+        raise UsageError(f"the diagonal grid in dimension {dimension} has {n_points} points, "
+                         f"over the budget of {MAX_DIAG_POINTS}")
     grids = np.meshgrid(*([coarse] * dimension), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 

@@ -34,7 +34,9 @@ from .hermite import _sample
 
 
 class AccuracyWarning(UserWarning):
-    """A quadrature order is too low for the polynomial degrees present."""
+    """A quadrature rule is too coarse for its integrand: the order is too
+    low for the polynomial degrees present, or the integrand's peak lies
+    outside the nodes."""
 
 
 @dataclass(frozen=True)
@@ -84,37 +86,64 @@ def sesquilinear_pairing(z, w) -> complex:
     return complex(np.sum(np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
 
 
-def bargmann_kernel(z, y) -> complex:
+def bargmann_kernel(z, y):
     """Bargmann kernel pi^{-d/4} exp(-1/2(<z,z> + |y|^2) + sqrt(2) <z,y>).
 
-    Uses the *bilinear* pairing.  The exponent is accumulated first and
-    exponentiated once, so moderate |z| (up to ~6) stays in range despite the
-    e^{+sqrt(2) z.y} growth.
+    Uses the *bilinear* pairing.  z is a point (d,) or a batch (k, d), y a
+    point (d,) or a batch (n, d); the result has z's batch axis first, then
+    y's.  The exponent is accumulated first and exponentiated once, so
+    moderate |z| (up to ~6) stays in range despite the e^{+sqrt(2) z.y}
+    growth.
     """
     z = _as_complex_vector(z)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if z.shape[-1] != y.shape[-1]:
+    if z.ndim > 2 or z.shape[-1] != y.shape[-1]:
         raise UsageError("Bargmann kernel: dimension mismatch between z and y")
     d = z.shape[-1]
-    exponent = (-0.5 * (np.sum(z * z) + np.sum(y * y, axis=-1))
-                + math.sqrt(2.0) * np.sum(z * y, axis=-1))
+    z = z.reshape(z.shape[:-1] + (1,) * (y.ndim - 1) + (d,))
+    # summed per coordinate: a (k, n, d) product would be d times the result
+    bilinear = sum(z[..., j] * y[..., j] for j in range(d))
+    exponent = (-0.5 * (np.sum(z * z, axis=-1) + np.sum(y * y, axis=-1))
+                + math.sqrt(2.0) * bilinear)
     return np.pi ** (-d / 4.0) * np.exp(exponent)
 
 
-def bargmann_integral(f, z, quad_order: int = 60) -> complex:
-    """Quadrature value of the Bargmann transform integral of f at z.
+# For f decaying like e^{-|y|^2/2} the integrand is a Gaussian of width
+# 1/sqrt(2) peaked near y_j = Re z_j / sqrt(2); the rule resolves it while
+# the peak lies five widths inside the largest node.  At order 60 (largest
+# node 10.16) that is |Re z_j| <= 9.37: h_3 -> e_3 is exact to 4e-11 at
+# z = 9 and off by 6.6e-8 at z = 10, 1.5e-3 at 12 and 91% at 16.
+_PEAK_MARGIN = 5.0 / math.sqrt(2.0)
+
+
+def bargmann_integral(f, z, quad_order: int = 60):
+    """Quadrature value of the Bargmann transform integral of f at z; z may
+    be a single point (d,), giving a complex, or a batch (k, d), giving an
+    array.
 
     Tensor Gauss-Hermite in y with the e^{-|y|^2} weight folded back in, as
-    in hermite_coefficients.
+    in hermite_coefficients; f is sampled once for the whole batch.  Warns
+    with AccuracyWarning when the integrand's peak leaves the rule's node
+    range for some z.
     """
     z = _as_complex_vector(z)
-    d = z.shape[-1]
+    zs = np.atleast_2d(z)
+    if zs.ndim != 2:
+        raise UsageError(f"points of shape {z.shape} are neither (d,) nor (k, d)")
+    d = zs.shape[1]
     rule = gauss_hermite(quad_order)
-    points, weights, _ = tensor_rule(rule, d)
+    peak = float(np.max(np.abs(zs.real), initial=0.0)) / math.sqrt(2.0)
+    if peak + _PEAK_MARGIN > rule.nodes[-1]:
+        warnings.warn(
+            f"the integrand peaks near {peak:.3g}, within {_PEAK_MARGIN:.3g} of the largest "
+            f"node {rule.nodes[-1]:.3g} of the order-{quad_order} rule; "
+            f"result may be inaccurate", AccuracyWarning, stacklevel=2)
+    points, weights = tensor_rule(rule, d)
     fvals = _sample(f, points)
-    kernel = bargmann_kernel(z, points)
+    kernel = bargmann_kernel(zs, points)
     integrand = fvals * kernel * np.exp(np.sum(points**2, axis=1))
-    return complex(np.sum(weights * integrand))
+    values = np.sum(weights * integrand, axis=1)
+    return complex(values[0]) if z.ndim == 1 else values
 
 
 def bargmann_coeff(f: CoefficientExpansion) -> CoefficientExpansion:

@@ -69,14 +69,18 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
+    """The JSON object in an input file; every subcommand reads one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read input file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputDataError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputDataError(f"input in {path} must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _resolve_output(path):
@@ -229,8 +233,13 @@ def _expression_callback(expr: str, dimension: int):
 
 def cmd_hermite_coeffs(args):
     data = _load_json(args.input)
-    d = int(data.get("dimension", 1))
-    degree = args.degree if args.degree is not None else int(data.get("degree", 8))
+    try:
+        d = int(data.get("dimension", 1))
+        degree = args.degree if args.degree is not None else int(data.get("degree", 8))
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"bad dimension or degree in input JSON: {exc}") from exc
+    if d < 1:
+        raise InputDataError(f"dimension must be >= 1, got {d}")
     if "expression" in data:
         f = _expression_callback(data["expression"], d)
     elif "coeffs" in data:
@@ -244,22 +253,24 @@ def cmd_hermite_coeffs(args):
 
 
 def cmd_bargmann(args):
+    if args.cross_check < 0:
+        raise UsageError(f"--cross-check must be >= 0, got {args.cross_check}")
     exp = CoefficientExpansion.from_json_dict(_load_json(args.input))
     F = bargmann_coeff(exp)
     payload = {"result": F.to_json_dict()}
     if args.cross_check and exp.dimension == 1:
         rng = np.random.default_rng(args.seed)
-        rows = []
         quad_order = args.quad_order if args.quad_order is not None else 60
-        for _ in range(args.cross_check):
-            z = complex(*(rng.uniform(-2, 2, size=2)))
-            via_coeff = evaluate_fock(F, z)
-            via_integral = bargmann_integral(lambda pts: synthesize(exp, pts), z,
-                                             quad_order)
+        # (k, 1) points z, drawn as k successive (re, im) pairs
+        zs = rng.uniform(-2, 2, size=(args.cross_check, 2)).view(complex)
+        via_coeff = evaluate_fock(F, zs)
+        via_integral = bargmann_integral(lambda pts: synthesize(exp, pts), zs, quad_order)
+        rows = []
+        for z, c, i in zip(zs[:, 0].tolist(), via_coeff.tolist(), via_integral.tolist()):
             rows.append({"z": [z.real, z.imag],
-                         "coefficient_route": [via_coeff.real, via_coeff.imag],
-                         "integral_route": [via_integral.real, via_integral.imag],
-                         "abs_diff": abs(via_coeff - via_integral)})
+                         "coefficient_route": [c.real, c.imag],
+                         "integral_route": [i.real, i.imag],
+                         "abs_diff": abs(c - i)})
         payload["cross_check"] = rows
     return _emit(payload, args)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -20,8 +20,13 @@ HERMITE = "hermite"
 FOCK = "fock"
 
 # Largest tensor quadrature rule built, in nodes; beyond it the node arrays
-# and the per-basis-function passes over them run unbounded.
+# and the sampled integrand grow without bound.
 MAX_QUAD_NODES = 1_000_000
+
+# Largest 1-d Gauss-Hermite order built, since hermgauss solves an
+# order x order eigenproblem.  Orders from 372 on already give NaN weights in
+# float64, which gauss_hermite refuses too.
+MAX_QUAD_ORDER = 1000
 
 __all__ = [
     "CalculusError",
@@ -167,39 +172,52 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule (weight e^{-x^2}), exact on degree <= 2*order - 1.
 
     numpy's hermgauss runs the Golub-Welsch symmetric tridiagonal
-    eigen-solve internally.
+    eigen-solve internally.  Rules are cached per order and every caller
+    shares one, so its node and weight arrays are read-only.  Orders over
+    MAX_QUAD_ORDER and rules that are not finite in float64 are refused.
     """
     if order < 1:
         raise UsageError(f"quadrature order must be >= 1, got {order}")
+    if order > MAX_QUAD_ORDER:
+        raise UsageError(f"quadrature order {order} is over the budget of {MAX_QUAD_ORDER}")
     try:
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        # overflow and underflow show up as non-finite entries, checked below
+        with np.errstate(all="ignore"):
+            nodes, weights = np.polynomial.hermite.hermgauss(order)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hermgauss is robust
         raise NumericalError(f"Gauss-Hermite construction failed at order {order}") from exc
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise NumericalError(f"the order-{order} Gauss-Hermite rule is not finite in "
+                             f"float64; lower the quadrature order")
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
 def tensor_rule(rule: QuadratureRule, d: int):
     """Tensorize a 1-d rule over d coordinates.
 
-    Returns (points, weights, index_grid): points has shape (order^d, d),
-    weights is the product weight, index_grid holds the 1-d node index used
-    in each coordinate (handy for reusing per-coordinate value tables).
-    Rules of more than MAX_QUAD_NODES nodes are refused before allocation.
+    Returns (points, weights): points has shape (order^d, d) with the last
+    coordinate varying fastest, so a node-indexed array reshapes to
+    (order,) * d; weights is the product weight.  Rules of more than
+    MAX_QUAD_NODES nodes are refused before allocation.
     """
+    if d < 1:
+        raise UsageError(f"dimension must be >= 1, got {d}")
     q = rule.order
     n_nodes = q ** d
     if n_nodes > MAX_QUAD_NODES:
         raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "
                          f"over the budget of {MAX_QUAD_NODES}; lower the quadrature order")
-    grids = np.meshgrid(*([np.arange(q)] * d), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    points = rule.nodes[idx]
-    weights = np.prod(rule.weights[idx], axis=1)
-    return points, weights, idx
+    grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    weights = reduce(np.multiply.outer, [rule.weights] * d).ravel()
+    return points, weights
 
 
 def monomial_table(points, exponents) -> np.ndarray:
@@ -305,7 +323,7 @@ class CoefficientExpansion:
             coeffs = {json_index(entry["index"]): json_value(entry["value"])
                       for entry in data["coeffs"]}
             return cls(int(data["dimension"]), data["side"], coeffs)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
             raise InputDataError(f"malformed expansion JSON: {exc}") from exc
 
     def __repr__(self):

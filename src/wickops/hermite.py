@@ -102,24 +102,28 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
     e^{-|x|^2/2} within the rule's degree of exactness; accuracy degrades for
     slowly decaying f since no resampling is done.
     """
+    if degree_bound < 0:
+        raise UsageError(f"degree bound must be >= 0, got {degree_bound}")
     if quad_order is None:
         quad_order = degree_bound + 20
     if quad_order < degree_bound + 1:
         raise UsageError(
             f"quad_order {quad_order} too small for degree bound {degree_bound}")
     rule = gauss_hermite(quad_order)
-    points, weights, idx = tensor_rule(rule, dimension)
+    points, weights = tensor_rule(rule, dimension)
     fvals = _sample(f, points)
-    table = hermite_values_1d(degree_bound, rule.nodes)
     # fold the Gaussian weight back in: integrand = f * h_a * e^{|x|^2} * e^{-|x|^2}
     base = weights * fvals * np.exp(np.sum(points**2, axis=1))
-    coeffs = {}
-    for alpha in enumerate_basis(dimension, degree_bound):
-        h = np.ones(points.shape[0])
-        for j, n in enumerate(alpha):
-            h = h * table[n, idx[:, j]]
-        coeffs[alpha] = complex(np.sum(base * h))
-    return CoefficientExpansion(dimension, HERMITE, coeffs)
+    # h_a is a product over coordinates and the rule a tensor product, so all
+    # the sums are one contraction with the 1-d table per axis; each pass
+    # moves the contracted axis to the end, leaving block[a_1, ..., a_d]
+    table = hermite_values_1d(degree_bound, rule.nodes)
+    block = base.reshape((quad_order,) * dimension)
+    for _ in range(dimension):
+        block = np.tensordot(block, table, axes=([0], [1]))
+    basis = enumerate_basis(dimension, degree_bound)
+    values = block[tuple(np.array(basis).T)]
+    return CoefficientExpansion(dimension, HERMITE, dict(zip(basis, values)))
 
 
 def synthesize(f: CoefficientExpansion, x):

@@ -688,6 +688,8 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
     """
     if a.point_symbol:
         raise UsageError("Shubin estimates apply to standard Wick symbols")
+    if max_order < 0 or n_decay < 0:
+        raise UsageError(f"max_order and n_decay must be >= 0, got {max_order} and {n_decay}")
     z, w = _stack_grid(grid)
     with np.errstate(over="ignore"):
         gauss = np.exp(0.5 * np.linalg.norm(z - w, axis=1) ** 2)

@@ -9,8 +9,10 @@ from wickops.symbols import WickSymbol, wick_matrix
 from wickops.analysis import (
     FLAT,
     H0,
+    MAX_DIAG_POINTS,
     ROUMIEU,
     classify_decay,
+    default_diag_grid,
     fit_norm_growth,
     garding_check,
     shell_maxima,
@@ -130,6 +132,19 @@ class TestGardingCheck:
         a = WickSymbol(1, {((0,), (0,)): 1.0})
         with pytest.raises(UsageError):
             garding_check(a, [8, 8])
+
+
+class TestDiagGridBudget:
+    def test_grid_sizes_below_the_budget(self):
+        assert default_diag_grid(1).shape == (2112, 1)
+        assert default_diag_grid(3).shape == (41**3, 3)
+
+    def test_four_dimensional_grid_is_refused(self):
+        with pytest.raises(UsageError, match=f"2825761 points.*{MAX_DIAG_POINTS}"):
+            default_diag_grid(4)
+        a = WickSymbol(4, {((1, 0, 0, 0), (1, 0, 0, 0)): 1.0})
+        with pytest.raises(UsageError):
+            garding_check(a, [1, 2])
 
 
 class TestFitNormGrowth:

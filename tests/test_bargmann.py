@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,76 @@ class TestBargmannIntegral:
         f = lambda pts: np.array([hermite_function((1, 2), p) for p in pts])
         want = z[0] * z[1] ** 2 / math.sqrt(2)
         assert bargmann_integral(f, z, quad_order=40) == pytest.approx(want, abs=1e-9)
+
+
+class TestBatchedBargmannIntegral:
+    @pytest.mark.parametrize("d, k", [(1, 8), (2, 5)])
+    def test_rows_match_single_calls(self, d, k):
+        rng = np.random.default_rng(50 + d)
+        coeffs = {(n,) * d: complex(*rng.standard_normal(2)) for n in range(6)}
+        f = CoefficientExpansion(d, HERMITE, coeffs)
+        zs = rng.uniform(-2, 2, size=(k, d)) + 1j * rng.uniform(-2, 2, size=(k, d))
+        calls = []
+
+        def sample(pts):
+            calls.append(len(pts))
+            return synthesize(f, pts)
+
+        order = 60 if d == 1 else 30
+        batch = bargmann_integral(sample, zs, order)
+        assert calls == [order ** d]  # one sample for the whole batch
+        assert isinstance(batch, np.ndarray) and batch.shape == (k,)
+        for z, row in zip(zs, batch):
+            single = bargmann_integral(sample, z, order)
+            assert isinstance(single, complex)
+            assert abs(row - single) <= 1e-14 * abs(single)
+
+    def test_kernel_batch_rows_are_single_kernels(self):
+        rng = np.random.default_rng(53)
+        zs = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        ys = rng.standard_normal((7, 2))
+        table = bargmann_kernel(zs, ys)
+        assert table.shape == (4, 7)
+        for z, row in zip(zs, table):
+            np.testing.assert_array_equal(row, bargmann_kernel(z, ys))
+            assert row[2] == bargmann_kernel(z, ys[2])
+
+    def test_empty_batch(self):
+        f = lambda pts: synthesize(CoefficientExpansion(1, HERMITE, {(0,): 1.0}), pts)  # noqa: E731
+        assert bargmann_integral(f, np.zeros((0, 1))).shape == (0,)
+
+
+class TestLargeZWarning:
+    # h_3 -> e_3 at order 60 (largest node 10.16): exact to ~1e-15 for
+    # |z| <= 8, off by 1.5e-3 at z = 12 and by 91% at z = 16
+    @staticmethod
+    def h3(pts):
+        return np.array([hermite_function((3,), p) for p in pts])
+
+    @pytest.mark.parametrize("z", [12.0, 16.0, -12.0, 12.0 + 5j, 30.0])
+    def test_warns_when_peak_leaves_nodes(self, z):
+        with pytest.warns(AccuracyWarning, match="largest node"):
+            bargmann_integral(self.h3, [z])
+        with pytest.warns(AccuracyWarning):
+            bargmann_integral(self.h3, [[0.5], [z]])
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0])
+    def test_silent_and_accurate_up_to_radius_eight(self, r):
+        zs = r * np.exp(2j * np.pi * np.arange(16) / 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            got = bargmann_integral(self.h3, [[0.0], [r], [-r]])
+            bargmann_integral(self.h3, zs[:, None])
+        want = np.array([0.0, r, -r]) ** 3 / math.sqrt(6)
+        assert np.max(np.abs(got - want)) <= 1e-13 * r**3
+
+    def test_silent_in_two_dimensions_inside_the_nodes(self):
+        f = lambda pts: np.array([hermite_function((1, 2), p) for p in pts])  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            bargmann_integral(f, [3.0 + 1j, -2.0], quad_order=40)
+        with pytest.warns(AccuracyWarning):
+            bargmann_integral(f, [0.5, 9.0], quad_order=40)
 
 
 class TestCoefficientTransform:

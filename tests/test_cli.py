@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -5,18 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wickops
 import wickops.cli
+from wickops.bargmann import AccuracyWarning, bargmann_coeff, bargmann_integral, evaluate_fock
 from wickops.cli import _write_json, main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
+from wickops.hermite import synthesize
 from wickops.symbols import (OperatorMatrix, RealSymbol, WickSymbol, weyl_matrix,
                              wick_matrix)
 
@@ -72,6 +76,35 @@ class TestBargmann:
         assert report["result"]["side"] == "fock"
         for row in report["cross_check"]:
             assert row["abs_diff"] < 1e-8
+
+
+    def test_cross_check_keeps_the_per_point_route(self, tmp_path):
+        # one batched call draws the z of the old per-point loop and gives
+        # its values, without an accuracy warning for |Re z| <= 2
+        f = CoefficientExpansion(1, HERMITE, {(k,): complex(1.0 / (k + 1), k) for k in range(9)})
+        inp = write_json(tmp_path / "in.json", f.to_json_dict())
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bargmann", "--input", inp, "--output", str(out),
+                         "--cross-check", "8", "--seed", "5"]) == 0
+        rows = read_json(out)["cross_check"]
+        rng = np.random.default_rng(5)
+        F = bargmann_coeff(f)
+        for row in rows:
+            z = complex(*rng.uniform(-2, 2, size=2))
+            assert row["z"] == [z.real, z.imag]
+            for key, want in [("coefficient_route", evaluate_fock(F, z)),
+                              ("integral_route",
+                               bargmann_integral(lambda pts: synthesize(f, pts), z))]:
+                assert abs(complex(*row[key]) - want) <= 1e-14 * abs(want)
+
+    def test_negative_cross_check_is_usage_error(self, tmp_path, capsys):
+        f = CoefficientExpansion(1, HERMITE, {(1,): 1.0})
+        inp = write_json(tmp_path / "in.json", f.to_json_dict())
+        assert main(["bargmann", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--cross-check", "-3"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
 
 
 class TestMatrixCommands:
@@ -447,6 +480,36 @@ class TestErrorExitCodes:
         assert error["kind"] == "usage"
         assert "5764801" in error["message"] and "1000000" in error["message"]
 
+    @pytest.mark.parametrize("argv,text,want", [
+        (["hermite-coeffs"], "[1, 2]", 3),
+        (["garding", "--truncations", "1,2"], "[]", 3),
+        (["hermite-coeffs"], '{"dimension": "x", "expression": "x0"}', 3),
+        (["hermite-coeffs"], '{"dimension": 0, "expression": "1"}', 3),
+        (["classify"], '{"dimension": "x", "side": "hermite", "coeffs": []}', 3),
+        (["hermite-coeffs", "--degree", "-1"], '{"dimension": 1, "expression": "x0"}', 2),
+        (["bound-check", "--mode", "shubin", "--n-decay", "-1", "--grid-points", "1"],
+         '{"dimension": 1, "kind": "wick", "terms": []}', 2),
+    ])
+    def test_fuzzed_tracebacks_are_errors(self, tmp_path, capsys, argv, text, want):
+        # inputs on which the fuzz test below first found a traceback (exit 1)
+        inp = tmp_path / "in.json"
+        inp.write_text(text)
+        assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     *argv[1:]]) == want
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_over_budget_diagonal_grid_is_refused_at_once(self, tmp_path, capsys):
+        a = WickSymbol(4, {((1, 0, 0, 0), (1, 0, 0, 0)): 1.0})
+        inp = write_json(tmp_path / "d4.json", a.to_json_dict())
+        t0 = time.perf_counter()
+        code = main(["garding", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--truncations", "2,4"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0  # refused before building 41^4 points
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage"
+        assert "2825761" in error["message"] and "1000000" in error["message"]
+
     @pytest.mark.parametrize("expression,dimension", [("exp(-x0**2/2", 1), ("x5", 1)])
     def test_bad_expression_is_input_error(self, tmp_path, capsys, expression, dimension):
         inp = write_json(tmp_path / "e.json",
@@ -468,10 +531,124 @@ class TestErrorExitCodes:
         assert error["kind"] == "usage"
         assert "6250000" in error["message"] and str(MAX_QUAD_NODES) in error["message"]
 
+    @pytest.mark.parametrize("order,want", [("400", 4), ("100000", 2)])
+    def test_quadrature_order_without_a_finite_rule(self, tmp_path, capsys, order, want):
+        # order 400 used to exit 0 with NaN coefficients; 100000 is refused
+        # before hermgauss builds its 100000 x 100000 eigenproblem
+        inp = write_json(tmp_path / "e.json", {"dimension": 1, "expression": "exp(-x0**2/2)"})
+        t0 = time.perf_counter()
+        assert main(["hermite-coeffs", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--degree", "4", "--quad-order", order]) == want
+        assert want != 2 or time.perf_counter() - t0 < 1.0
+        assert "error" in json.loads(capsys.readouterr().err)
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_empty_grid_is_usage_error(self, tmp_path, oscillator_wick, points):
         assert main(["bound-check", "--input", oscillator_wick, "--output",
                      str(tmp_path / "o.json"), "--grid-points", points]) == 2
+
+
+# Fuzzed CLI calls.  Each input is drawn for its subcommand and is mostly
+# well formed, so that most calls get past parsing; one field in ten is
+# malformed (wrong type, wrong length, negative, non-finite) and one input
+# in ten is any JSON at all.  Sizes stay small so that each call is cheap.
+# Options are passed as --name=value, and the required ones always, so
+# argparse accepts every argv and each call reaches the subcommand.
+def _mostly(good, bad):
+    """good nine times in ten, bad otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: good if k else bad)
+
+
+_VALUE = _mostly(
+    st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+    st.one_of(st.lists(st.sampled_from([float("nan"), float("inf"), 1e300]),
+                       min_size=2, max_size=2),
+              st.lists(st.floats(-2, 2), max_size=3), st.text(max_size=2), st.none()))
+_EXPRESSIONS = ["exp(-x0**2/2)", "x0 * exp(-x0**2)", "cos(x1) * exp(-(x0**2 + x1**2) / 2)",
+                "exp(-x0**2/2", "x5", "1/x0", "exp(x0**4)", "nan", "", 3]
+_EXPANSION_COMMANDS = ("hermite-coeffs", "bargmann", "classify")
+_REAL_COMMANDS = ("kn-matrix", "weyl-matrix", "to-wick")
+
+
+@st.composite
+def _input_text(draw, command):
+    d = draw(_mostly(st.integers(1, 2), st.sampled_from([0, -1, 3, "2", "x", None, 1.5])))
+    n = d if d in (1, 2, 3) else 1
+    index = _mostly(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                    st.one_of(st.lists(st.integers(-1, 2), max_size=3),
+                              st.text(max_size=2), st.integers(-1, 2)))
+    if command == "hermite-coeffs" and draw(st.booleans()):
+        data = {"dimension": d, "expression": draw(st.sampled_from(_EXPRESSIONS))}
+    elif command in _EXPANSION_COMMANDS:
+        side = _mostly(st.just("hermite"), st.sampled_from(["fock", "other"]))
+        data = {"dimension": d, "side": draw(side), "coeffs": draw(st.lists(
+            st.fixed_dictionaries({"index": index, "value": _VALUE}), max_size=8))}
+    else:
+        kinds = ["kn", "weyl"] if command in _REAL_COMMANDS else ["wick", "antiwick"]
+        kind = _mostly(st.sampled_from(kinds), st.sampled_from(["wick", "kn", "other"]))
+        data = {"dimension": d, "kind": draw(kind), "terms": draw(st.lists(
+            st.fixed_dictionaries({"alpha": index, "beta": index, "value": _VALUE}),
+            max_size=3))}
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_TREES.map(json.dumps),
+                              st.sampled_from(["", "{", "[1, 2", "null", "\\x00"])))
+    return json.dumps(data)
+
+
+_OPTIONS = {
+    "hermite-coeffs": {"degree": st.integers(-1, 6), "quad-order": st.integers(-1, 26)},
+    "bargmann": {"cross-check": st.integers(-2, 4), "quad-order": st.integers(-1, 40)},
+    "wick-matrix": {"degree": st.integers(-1, 5)},
+    "antiwick-matrix": {"degree": st.integers(-1, 5)},
+    "kn-matrix": {"degree": st.integers(-1, 5)},
+    "weyl-matrix": {"degree": st.integers(-1, 5)},
+    "to-wick": {"degree": st.integers(-1, 3)},
+    "expand-antiwick": {"order": st.integers(-1, 3), "trunc-degree": st.integers(-1, 5)},
+    "garding": {"truncations": st.one_of(
+        st.lists(st.integers(-1, 6), max_size=3).map(lambda ns: ",".join(map(str, ns))),
+        st.sampled_from(["a,b", "4,", " 2"]))},
+    "classify": {"family": st.sampled_from(["roumieu_s", "flat_sigma"])},
+    "bound-check": {"mode": st.sampled_from(["gs", "shubin"]),
+                    "s": st.sampled_from(["0.5", "0", "-1", "nan", "inf"]),
+                    "r": st.sampled_from(["1", "0", "-2", "nan"]),
+                    "direction": st.sampled_from(["gain", "loss"]),
+                    "weight-t": st.sampled_from(["2", "0", "-1", "nan"]),
+                    "rho": st.sampled_from(["1", "0", "2", "nan"]),
+                    "max-order": st.integers(-1, 2), "n-decay": st.integers(-1, 2),
+                    "grid-radius": st.sampled_from(["4", "0", "-1", "40", "nan", "inf"]),
+                    "grid-points": st.integers(-1, 3)},
+}
+_ALWAYS = ("order", "truncations", "grid-points")
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = [f"--{name}={draw(values)}" for name, values in _OPTIONS[command].items()
+               if name in _ALWAYS or draw(st.booleans())]
+    options += ["--format=" + draw(_mostly(st.just("json"), st.just("csv")))]
+    return command, options, draw(_input_text(command)), draw(_mostly(st.just(True),
+                                                                      st.just(False)))
+
+
+class TestFuzzedCalls:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_cli_calls())
+    def test_error_contract(self, call):
+        command, options, text, input_exists = call
+        with tempfile.TemporaryDirectory() as tmp:
+            inp = Path(tmp) / "in.json"
+            if input_exists:
+                inp.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
+                code = main([command, "--input", str(inp), "--output",
+                             str(Path(tmp) / "out"), *options])
+        assert code in (0, 2, 3, 4)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error"}
 
 
 class TestSelftest:
@@ -483,3 +660,8 @@ class TestSelftest:
         report = read_json(out)["result"]
         assert all(c["passed"] for c in report)
         assert len(report) >= 30
+
+    def test_no_accuracy_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            assert main(["selftest"]) == 0

@@ -6,8 +6,10 @@ import pytest
 from wickops.core import (
     FOCK,
     HERMITE,
+    MAX_QUAD_ORDER,
     CoefficientExpansion,
     MultiIndex,
+    NumericalError,
     UsageError,
     enumerate_basis,
     expansion_inner,
@@ -103,9 +105,41 @@ class TestGaussHermite:
             scale = max(1.0, float(np.sum(rule.weights * np.abs(rule.nodes) ** k)))
             assert abs(approx - exact) <= 1e-12 * scale
 
+    def test_cached_rule_is_read_only(self):
+        rule = gauss_hermite(20)
+        assert gauss_hermite(20) is rule
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+        # a caller's failed writes leave every later call with the exact rule
+        nodes, weights = np.polynomial.hermite.hermgauss(20)
+        again = gauss_hermite(20)
+        assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
+
+    def test_orders_without_a_finite_rule_are_refused(self):
+        # hermgauss's float64 weights turn NaN from order 372 on
+        assert np.all(np.isfinite(gauss_hermite(371).weights))
+        with pytest.raises(NumericalError, match="not finite"):
+            gauss_hermite(372)
+        with pytest.raises(UsageError, match=str(MAX_QUAD_ORDER)):
+            gauss_hermite(MAX_QUAD_ORDER + 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tensor_rule_is_the_indexed_product(self, d):
+        # the outer-product weights are bitwise the per-node product over a
+        # gathered index grid, and points vary the last coordinate fastest
+        rule = gauss_hermite(7)
+        points, weights = tensor_rule(rule, d)
+        grids = np.meshgrid(*([np.arange(7)] * d), indexing="ij")
+        idx = np.stack([g.ravel() for g in grids], axis=1)
+        assert np.array_equal(points, rule.nodes[idx])
+        assert np.array_equal(weights, np.prod(rule.weights[idx], axis=1))
+
     def test_tensor_rule_integrates_product(self):
         rule = gauss_hermite(6)
-        points, weights, _ = tensor_rule(rule, 2)
+        points, weights = tensor_rule(rule, 2)
         approx = float(np.sum(weights * points[:, 0] ** 2 * points[:, 1] ** 4))
         assert approx == pytest.approx(
             double_factorial_moment(2) * double_factorial_moment(4), rel=1e-12)

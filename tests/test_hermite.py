@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError, gauss_hermite
+from wickops.core import (HERMITE, CoefficientExpansion, InputDataError, UsageError,
+                          enumerate_basis, gauss_hermite)
 from wickops.hermite import (
     ANNIHILATION,
     CREATION,
@@ -12,6 +13,7 @@ from wickops.hermite import (
     apply_ladder,
     hermite_coefficients,
     hermite_function,
+    hermite_values_1d,
     norm_growth_probe,
     synthesize,
 )
@@ -51,12 +53,31 @@ class TestHermiteFunction:
 
         degree = 12 if d == 1 else 6
         rule = gauss_hermite(40)
-        points, weights, _ = tensor_rule(rule, d)
+        points, weights = tensor_rule(rule, d)
         basis = enumerate_basis(d, degree)
         H = np.array([[hermite_function(a, p) for p in points] for a in basis])
         fold = weights * np.exp(np.sum(points**2, axis=1))
         gram = (H * fold) @ H.T
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
+
+
+def _basis_loop_coefficients(f, d, degree_bound, quad_order):
+    """Reference route: one pass over the tensor nodes per basis function,
+    multiplying d gathered 1-d table rows."""
+    rule = gauss_hermite(quad_order)
+    grids = np.meshgrid(*([np.arange(quad_order)] * d), indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=1)
+    points = rule.nodes[idx]
+    weights = np.prod(rule.weights[idx], axis=1)
+    table = hermite_values_1d(degree_bound, rule.nodes)
+    base = weights * f(points) * np.exp(np.sum(points**2, axis=1))
+    coeffs = {}
+    for alpha in enumerate_basis(d, degree_bound):
+        h = np.ones(points.shape[0])
+        for j, n in enumerate(alpha):
+            h = h * table[n, idx[:, j]]
+        coeffs[alpha] = complex(np.sum(base * h))
+    return coeffs
 
 
 class TestHermiteCoefficients:
@@ -92,6 +113,26 @@ class TestHermiteCoefficients:
             got = exp.coeffs.get((n,), 0.0)
             assert got.real == pytest.approx(want, abs=1e-10)
             assert got.imag == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d, degree, parity", [
+        (1, 24, "any"), (1, 9, "odd"), (2, 8, "any"), (2, 7, "odd"),
+        (3, 6, "any"), (3, 5, "odd")])
+    def test_contraction_matches_basis_loop(self, d, degree, parity):
+        # the per-coordinate contraction against the per-basis-function loop
+        # it replaced; on odd inputs the even coefficients vanish, and each
+        # route leaves its own rounding residue (or an exact zero) there
+        rng = np.random.default_rng(100 + 10 * d + degree)
+        coeffs = {a: complex(*rng.standard_normal(2))
+                  for a in enumerate_basis(d, degree - 2)
+                  if parity == "any" or a.degree() % 2 == 1}
+        base = CoefficientExpansion(d, HERMITE, coeffs)
+        f = lambda pts: synthesize(base, pts)  # noqa: E731
+        got = hermite_coefficients(f, d, degree)
+        want = _basis_loop_coefficients(f, d, degree, degree + 20)
+        scale = max(abs(c) for c in want.values())
+        dev = max(abs(got.coeffs.get(a, 0.0) - c) for a, c in want.items())
+        assert set(got.coeffs) <= set(want)
+        assert dev <= 1e-13 * scale
 
     def test_non_finite_sample_reported(self):
         def f(pts):
