@@ -112,8 +112,26 @@ def bargmann_kernel(z, y):
 # 1/sqrt(2) peaked near y_j = Re z_j / sqrt(2); the rule resolves it while
 # the peak lies five widths inside the largest node.  At order 60 (largest
 # node 10.16) that is |Re z_j| <= 9.37: h_3 -> e_3 is exact to 4e-11 at
-# z = 9 and off by 6.6e-8 at z = 10, 1.5e-3 at 12 and 91% at 16.
+# z = 9 and off by 6.6e-8 at z = 10, 1.5e-3 at 12 and 91% at 16.  Far out,
+# at z = 30, both rules below see almost nothing of the integrand and agree,
+# so only this margin catches it.
 _PEAK_MARGIN = 5.0 / math.sqrt(2.0)
+
+# Largest relative distance between the order-q rule and the embedded
+# order-2q/3 rule at which the result is trusted.  The distance is about the
+# error of the cheaper rule, so it overstates that of the order-q result.
+# For h_3 -> e_3 at order 60 (true relative error in brackets) it reads
+# 9e-5 at z = 6i [2.4e-11] and 1e-5 at z = 8 [1e-15], but 8e7 at 8i
+# [7.4e-2], 49 at 8 e^{i pi/4} [1.5e-8] and 0.59 at 12 [1.5e-3]; for
+# expansions up to degree 30 it stays below 4e-8 at |z| <= 4.
+_RULE_AGREEMENT = 1e-3
+
+
+def _kernel_quadrature(zs, points, weights, fvals) -> np.ndarray:
+    """Tensor Gauss-Hermite sums of f(y) K(z, y) for each z of the (k, d)
+    batch zs, with the e^{-|y|^2} weight folded back in."""
+    integrand = fvals * bargmann_kernel(zs, points) * np.exp(np.sum(points**2, axis=1))
+    return np.sum(weights * integrand, axis=1)
 
 
 def bargmann_integral(f, z, quad_order: int = 60):
@@ -122,9 +140,13 @@ def bargmann_integral(f, z, quad_order: int = 60):
     array.
 
     Tensor Gauss-Hermite in y with the e^{-|y|^2} weight folded back in, as
-    in hermite_coefficients; f is sampled once for the whole batch.  Warns
-    with AccuracyWarning when the integrand's peak leaves the rule's node
-    range for some z.
+    in hermite_coefficients.  f is sampled once for the whole batch, on the
+    nodes of the order-q rule and of an embedded order-2q/3 rule; the
+    distance between the two results, relative to |result| or to the
+    quadrature norm of f where the result is near zero, is an a-posteriori
+    error estimate.  Warns with AccuracyWarning when the estimate exceeds
+    _RULE_AGREEMENT at some z, or when the integrand's peak leaves the
+    rule's node range.
     """
     z = _as_complex_vector(z)
     zs = np.atleast_2d(z)
@@ -132,17 +154,27 @@ def bargmann_integral(f, z, quad_order: int = 60):
         raise UsageError(f"points of shape {z.shape} are neither (d,) nor (k, d)")
     d = zs.shape[1]
     rule = gauss_hermite(quad_order)
-    peak = float(np.max(np.abs(zs.real), initial=0.0)) / math.sqrt(2.0)
-    if peak + _PEAK_MARGIN > rule.nodes[-1]:
-        warnings.warn(
-            f"the integrand peaks near {peak:.3g}, within {_PEAK_MARGIN:.3g} of the largest "
-            f"node {rule.nodes[-1]:.3g} of the order-{quad_order} rule; "
-            f"result may be inaccurate", AccuracyWarning, stacklevel=2)
+    coarse = gauss_hermite(max(1, 2 * quad_order // 3))
     points, weights = tensor_rule(rule, d)
-    fvals = _sample(f, points)
-    kernel = bargmann_kernel(zs, points)
-    integrand = fvals * kernel * np.exp(np.sum(points**2, axis=1))
-    values = np.sum(weights * integrand, axis=1)
+    coarse_points, coarse_weights = tensor_rule(coarse, d)
+    fvals, coarse_fvals = np.split(_sample(f, np.concatenate([points, coarse_points])),
+                                   [len(points)])
+    values = _kernel_quadrature(zs, points, weights, fvals)
+    distance = np.abs(values - _kernel_quadrature(zs, coarse_points, coarse_weights,
+                                                  coarse_fvals))
+    norm = math.sqrt(np.sum(weights * np.exp(np.sum(points**2, axis=1)) * np.abs(fvals)**2))
+    unresolved = np.flatnonzero(distance > _RULE_AGREEMENT * np.maximum(np.abs(values), norm))
+    peak = float(np.max(np.abs(zs.real), initial=0.0)) / math.sqrt(2.0)
+    reasons = []
+    if peak + _PEAK_MARGIN > rule.nodes[-1]:
+        reasons.append(f"the integrand peaks near {peak:.3g}, within {_PEAK_MARGIN:.3g} of the "
+                       f"largest node {rule.nodes[-1]:.3g} of the order-{quad_order} rule")
+    if unresolved.size:
+        reasons.append(f"the order-{quad_order} and order-{coarse.order} rules differ by more "
+                       f"than {_RULE_AGREEMENT:g} relative at z = {zs[unresolved[0]].tolist()}")
+    if reasons:
+        warnings.warn("; ".join(reasons) + "; result may be inaccurate",
+                      AccuracyWarning, stacklevel=2)
     return complex(values[0]) if z.ndim == 1 else values
 
 

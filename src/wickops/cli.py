@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -123,8 +123,18 @@ def _emit(payload, args, csv_lines=None):
 # each piece of up to _PIECE list items on one line and indents that text
 # itself.  A piece qualifies when its items are all scalars, or all non-empty
 # rows of scalars: the compact text then holds no string, so ", " and "], ["
-# occur only as separators.
-_compact = json.JSONEncoder().encode
+# occur only as separators.  The C encoder is built once, as
+# json.JSONEncoder() would build it on every call, but without the
+# circular-reference markers, so no state is carried between calls.
+_c_encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                            None, ": ", ", ", False, False, True)
+
+
+def _compact(obj) -> str:
+    """json.JSONEncoder().encode(obj), through the one C encoder."""
+    return "".join(_c_encoder(obj, 0))
+
+
 _PIECE = 1024
 _SCALARS = (int, float, type(None))
 
@@ -243,8 +253,7 @@ def cmd_hermite_coeffs(args):
     if "expression" in data:
         f = _expression_callback(data["expression"], d)
     elif "coeffs" in data:
-        base = CoefficientExpansion.from_json_dict(data)
-        f = lambda pts: synthesize(base, pts)  # noqa: E731
+        f = CoefficientExpansion.from_json_dict(data)
     else:
         raise InputDataError("input must contain 'expression' or an expansion with 'coeffs'")
     quad_order = args.quad_order if args.quad_order is not None else degree + 20

@@ -199,6 +199,19 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
+def _tensor_nodes(q: int, d: int) -> int:
+    """Node count q^d of the d-fold tensor product of a q-point rule; rules
+    over MAX_QUAD_NODES nodes are refused, so callers check before they
+    allocate anything of that size."""
+    if d < 1:
+        raise UsageError(f"dimension must be >= 1, got {d}")
+    n_nodes = q ** d
+    if n_nodes > MAX_QUAD_NODES:
+        raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "
+                         f"over the budget of {MAX_QUAD_NODES}; lower the quadrature order")
+    return n_nodes
+
+
 def tensor_rule(rule: QuadratureRule, d: int):
     """Tensorize a 1-d rule over d coordinates.
 
@@ -207,13 +220,7 @@ def tensor_rule(rule: QuadratureRule, d: int):
     (order,) * d; weights is the product weight.  Rules of more than
     MAX_QUAD_NODES nodes are refused before allocation.
     """
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
-    q = rule.order
-    n_nodes = q ** d
-    if n_nodes > MAX_QUAD_NODES:
-        raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "
-                         f"over the budget of {MAX_QUAD_NODES}; lower the quadrature order")
+    _tensor_nodes(rule.order, d)
     grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     weights = reduce(np.multiply.outer, [rule.weights] * d).ravel()

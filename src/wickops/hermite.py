@@ -19,11 +19,13 @@ import numpy as np
 
 from .core import (
     HERMITE,
+    MAX_QUAD_NODES,
     CalculusError,
     CoefficientExpansion,
     InputDataError,
     MultiIndex,
     UsageError,
+    _tensor_nodes,
     enumerate_basis,
     gauss_hermite,
     tensor_rule,
@@ -96,10 +98,13 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
                          quad_order: int | None = None) -> CoefficientExpansion:
     """Hermite coefficients c_a = integral f(x) h_a(x) dx for |a| <= degree_bound.
 
-    The integral is computed with a tensor Gauss-Hermite rule by folding the
-    e^{-|x|^2} weight: samples of f * h_a are multiplied by e^{|x|^2} at the
-    nodes.  Exact (to round-off) whenever f is a polynomial times
-    e^{-|x|^2/2} within the rule's degree of exactness; accuracy degrades for
+    f is a callback, sampled at the nodes of a tensor Gauss-Hermite rule, or
+    a hermite-side CoefficientExpansion, synthesized on the same nodes axis
+    by axis.  Either way the coefficients are the quadrature of the samples:
+    the e^{-|x|^2} weight is folded back in per coordinate, by contracting
+    each axis with h_n(x_j) w_j e^{x_j^2}.  Exact (to round-off) whenever f
+    is a polynomial times e^{-|x|^2/2} within the rule's degree of
+    exactness; past it the coefficients alias, and accuracy degrades for
     slowly decaying f since no resampling is done.
     """
     if degree_bound < 0:
@@ -110,20 +115,51 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
         raise UsageError(
             f"quad_order {quad_order} too small for degree bound {degree_bound}")
     rule = gauss_hermite(quad_order)
-    points, weights = tensor_rule(rule, dimension)
-    fvals = _sample(f, points)
-    # fold the Gaussian weight back in: integrand = f * h_a * e^{|x|^2} * e^{-|x|^2}
-    base = weights * fvals * np.exp(np.sum(points**2, axis=1))
+    if isinstance(f, CoefficientExpansion):
+        if f.side != HERMITE or f.dimension != dimension:
+            raise UsageError(f"expected a hermite-side expansion in dimension {dimension}, "
+                             f"got a {f.side}-side one in dimension {f.dimension}")
+        _tensor_nodes(quad_order, dimension)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            block = _tensor_values(f, rule.nodes)
+        if not np.all(np.isfinite(block)):
+            raise InputDataError("the expansion overflows at the quadrature nodes")
+    else:
+        points, _ = tensor_rule(rule, dimension)
+        block = _sample(f, points).reshape((quad_order,) * dimension)
     # h_a is a product over coordinates and the rule a tensor product, so all
-    # the sums are one contraction with the 1-d table per axis; each pass
-    # moves the contracted axis to the end, leaving block[a_1, ..., a_d]
-    table = hermite_values_1d(degree_bound, rule.nodes)
-    block = base.reshape((quad_order,) * dimension)
+    # the sums are one contraction with the folded 1-d table per axis; each
+    # pass moves the contracted axis to the end, leaving block[a_1, ..., a_d]
+    table = hermite_values_1d(degree_bound, rule.nodes) * (rule.weights * np.exp(rule.nodes**2))
     for _ in range(dimension):
         block = np.tensordot(block, table, axes=([0], [1]))
     basis = enumerate_basis(dimension, degree_bound)
     values = block[tuple(np.array(basis).T)]
     return CoefficientExpansion(dimension, HERMITE, dict(zip(basis, values)))
+
+
+def _tensor_values(f: CoefficientExpansion, nodes_1d) -> np.ndarray:
+    """Values of sum c_a h_a on the tensor grid nodes_1d^d, as an array of
+    shape (len(nodes_1d),) * d.
+
+    h_a is a product over coordinates, so the coefficients are scattered
+    into an (N+1)^d block and each axis is contracted with the 1-d table
+    h_0 .. h_N; no (terms x points) table is built.  Blocks over
+    MAX_QUAD_NODES entries are refused, which with a grid inside the same
+    budget bounds every intermediate.
+    """
+    d, n = f.dimension, f.degree_bound
+    if (n + 1) ** d > MAX_QUAD_NODES:
+        raise UsageError(f"an expansion of degree {n} in dimension {d} fills a "
+                         f"{(n + 1) ** d}-entry coefficient block, over the budget of "
+                         f"{MAX_QUAD_NODES}")
+    block = np.zeros((n + 1,) * d, dtype=complex)
+    if f.coeffs:
+        block[tuple(np.array(list(f.coeffs)).T)] = list(f.coeffs.values())
+    table = hermite_values_1d(n, nodes_1d)
+    for _ in range(d):
+        block = np.tensordot(block, table, axes=([0], [0]))
+    return block
 
 
 def synthesize(f: CoefficientExpansion, x):
@@ -182,14 +218,8 @@ def apply_hermite_operator(f: CoefficientExpansion) -> CoefficientExpansion:
         d, HERMITE, {a: (2 * a.degree() + d) * c for a, c in f.coeffs.items()})
 
 
-def default_probe_grid(dimension: int, n_max: int, degree_bound: int,
-                       points_per_axis: int = 201) -> np.ndarray:
-    """Box grid [-L, L]^d with L at the classical turning-point radius for the
-    highest iterate; Hermite mass concentrates inside it."""
-    L = math.sqrt(4.0 * n_max + 2.0 * degree_bound + 2.0)
-    axis = np.linspace(-L, L, points_per_axis)
-    grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+# Points per axis of norm_growth_probe's default box grid.
+_PROBE_POINTS = 201
 
 
 def norm_growth_probe(f: CoefficientExpansion, n_max: int,
@@ -198,31 +228,29 @@ def norm_growth_probe(f: CoefficientExpansion, n_max: int,
 
     R is applied in coefficient space (eigenvalue 2|a| + d per term) and each
     iterate is synthesized on the grid; the result feeds fit_norm_growth.
+    The default grid is the box [-L, L]^d with L at the classical
+    turning-point radius of the highest iterate, where Hermite mass
+    concentrates, sampled axis by axis; a given (n, d) grid goes through
+    synthesize.  Grids over MAX_QUAD_NODES points are refused before any
+    sample is taken.
     """
     if f.side != HERMITE:
         raise UsageError("norm_growth_probe expects a hermite-side expansion")
     if grid is None:
-        grid = default_probe_grid(f.dimension, n_max, f.degree_bound)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n_deg = f.degree_bound
-    tables = [hermite_values_1d(n_deg, grid[:, j]) for j in range(f.dimension)]
-    rows = []
-    eigs = []
-    cs = []
-    for alpha, c in f.coeffs.items():
-        h = np.ones(grid.shape[0])
-        for j, n in enumerate(alpha):
-            h = h * tables[j][n]
-        rows.append(h)
-        eigs.append(2 * alpha.degree() + f.dimension)
-        cs.append(c)
-    if not rows:
-        return np.zeros(n_max + 1)
-    H = np.array(rows)
-    eigs = np.array(eigs, dtype=float)
-    cs = np.array(cs, dtype=complex)
+        L = math.sqrt(4.0 * n_max + 2.0 * f.degree_bound + 2.0)
+        axis = np.linspace(-L, L, _PROBE_POINTS)
+        n_points = len(axis) ** f.dimension
+        sample = lambda g: _tensor_values(g, axis)  # noqa: E731
+    else:
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        n_points = grid.shape[0]
+        sample = lambda g: synthesize(g, grid)  # noqa: E731
+    if n_points > MAX_QUAD_NODES:
+        raise UsageError(f"the probe grid has {n_points} points, over the budget of "
+                         f"{MAX_QUAD_NODES}; pass a smaller grid")
     sups = np.empty(n_max + 1)
+    iterate = f
     for n in range(n_max + 1):
-        vals = (cs * eigs**n) @ H
-        sups[n] = np.max(np.abs(vals))
+        sups[n] = np.max(np.abs(sample(iterate)), initial=0.0)
+        iterate = apply_hermite_operator(iterate)
     return sups

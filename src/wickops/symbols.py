@@ -41,6 +41,11 @@ WEYL = "weyl"
 # arrays of this length
 MAX_GRID_PAIRS = 1_000_000
 
+# largest matrix, or 1-d coordinate table, that _assemble builds, in
+# entries; assembly holds the complex matrix and three temporaries of its
+# shape, about 480 MB at this size
+MAX_MATRIX_ENTRIES = 10_000_000
+
 
 def _falling(n: int, k: int) -> int:
     """n! / (n-k)! for integers n >= k >= 0."""
@@ -348,6 +353,19 @@ def japanese_bracket(v):
 # matrix builders
 # ---------------------------------------------------------------------------
 
+def _check_matrix_size(d: int, n_in: int, n_out: int) -> int:
+    """Column count of the matrix between the graded bases of degrees <= n_in
+    and <= n_out; the matrix and its (n_out + 1)^2-entry coordinate tables
+    are refused over MAX_MATRIX_ENTRIES entries before either is built."""
+    n_rows, n_cols = math.comb(n_out + d, d), math.comb(n_in + d, d)
+    size = max(n_rows * n_cols, (n_out + 1) ** 2)
+    if size > MAX_MATRIX_ENTRIES:
+        raise UsageError(f"a {n_rows} x {n_cols} matrix on {n_out + 1} x {n_out + 1} "
+                         f"coordinate tables needs {size} entries, over the budget of "
+                         f"{MAX_MATRIX_ENTRIES}; lower the degree")
+    return n_cols
+
+
 def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
     """Matrix of sum c * prod_j T(alpha_j, beta_j) over the terms
     {(alpha, beta): c}, between the graded bases of degrees <= n_in (columns)
@@ -358,8 +376,9 @@ def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
     the row and column multi-indices of each coordinate.  Each distinct pair
     is tabulated once per call.
     """
+    n_cols = _check_matrix_size(d, n_in, n_out)
     rows = np.array(enumerate_basis(d, n_out), dtype=int).reshape(-1, d)
-    cols = rows[: math.comb(n_in + d, d)]
+    cols = rows[:n_cols]
     tables = {}
     M = np.zeros((len(rows), len(cols)), dtype=complex)
     for (alpha, beta), c in terms.items():
@@ -453,6 +472,7 @@ def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
     if n_in < 0:
         raise UsageError(f"n_in must be >= 0, got {n_in}")
     n_out = n_in + b.total_degree
+    _check_matrix_size(b.dimension, n_in, n_out)
     X, D = _position_momentum(n_out + 1)
     power = np.linalg.matrix_power
     if quantization == KOHN_NIRENBERG:

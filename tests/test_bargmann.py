@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -94,7 +95,8 @@ class TestBatchedBargmannIntegral:
 
         order = 60 if d == 1 else 30
         batch = bargmann_integral(sample, zs, order)
-        assert calls == [order ** d]  # one sample for the whole batch
+        # one sample for the whole batch, on the nodes of both rules
+        assert calls == [order ** d + (2 * order // 3) ** d]
         assert isinstance(batch, np.ndarray) and batch.shape == (k,)
         for z, row in zip(zs, batch):
             single = bargmann_integral(sample, z, order)
@@ -130,15 +132,62 @@ class TestLargeZWarning:
         with pytest.warns(AccuracyWarning):
             bargmann_integral(self.h3, [[0.5], [z]])
 
-    @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0])
-    def test_silent_and_accurate_up_to_radius_eight(self, r):
+    # off the real axis the quadrature cancels: h_3 -> e_3 at order 60 is off
+    # by 7.4e-2 at 8i, 2.7e6 at 9i, 7.7e26 at 12i and 1.5e-8 at 8 e^{i pi/4}
+    @pytest.mark.parametrize("z", [8j, 9j, 12j, 8 * np.exp(1j * np.pi / 4), -8j])
+    def test_warns_when_the_rules_disagree(self, z):
+        with pytest.warns(AccuracyWarning, match="order-60 and order-40 rules differ") as caught:
+            bargmann_integral(self.h3, [z])
+        assert "largest node" not in str(caught[0].message)
+        # in a batch the message names the first point the rules disagree at
+        with pytest.warns(AccuracyWarning, match=re.escape(f"at z = {[complex(z)]}")):
+            bargmann_integral(self.h3, [[0.5], [z], [0.5j]])
+
+    @pytest.mark.parametrize("z,disagree", [(12.0, True), (16.0, True), (30.0, False)])
+    def test_the_estimate_and_the_peak_margin(self, z, disagree):
+        # at 30 the integrand peaks far beyond the nodes and both rules see
+        # almost nothing of it, so they agree: only the margin catches it
+        with pytest.warns(AccuracyWarning, match="largest node") as caught:
+            bargmann_integral(self.h3, [z])
+        assert ("rules differ" in str(caught[0].message)) == disagree
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 4.0])
+    def test_silent_and_accurate_up_to_radius_four(self, r):
         zs = r * np.exp(2j * np.pi * np.arange(16) / 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AccuracyWarning)
             got = bargmann_integral(self.h3, [[0.0], [r], [-r]])
-            bargmann_integral(self.h3, zs[:, None])
+            on_circle = bargmann_integral(self.h3, zs[:, None])
         want = np.array([0.0, r, -r]) ** 3 / math.sqrt(6)
         assert np.max(np.abs(got - want)) <= 1e-13 * r**3
+        assert np.max(np.abs(on_circle - zs**3 / math.sqrt(6))) <= 1e-13 * r**3
+
+    def test_silent_up_to_radius_four_on_an_expansion_of_degree_24(self):
+        # the degree of the benchmark's d = 1 expansions, whose cross-check
+        # must not warn
+        rng = np.random.default_rng(61)
+        f = CoefficientExpansion(1, HERMITE, {(k,): complex(*rng.standard_normal(2))
+                                              * math.exp(-0.3 * k) for k in range(25)})
+        zs = (np.array([1.0, 2.0, 3.0, 4.0])[:, None]
+              * np.exp(2j * np.pi * np.arange(16) / 16)).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            got = bargmann_integral(lambda pts: synthesize(f, pts), zs)
+        want = evaluate_fock(bargmann_coeff(f), zs)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+    def test_silent_and_accurate_on_the_real_axis_at_eight(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            got = bargmann_integral(self.h3, [[8.0], [-8.0]])
+        assert np.max(np.abs(got - np.array([8.0, -8.0]) ** 3 / math.sqrt(6))) <= 1e-13 * 8**3
+
+    def test_silent_where_the_transform_vanishes(self):
+        # h_3 -> e_3 vanishes at 0: both rules give rounding residue there,
+        # which is measured against the norm of f, not against the residue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            assert abs(bargmann_integral(self.h3, [0.0])) <= 1e-15
 
     def test_silent_in_two_dimensions_inside_the_nodes(self):
         f = lambda pts: np.array([hermite_function((1, 2), p) for p in pts])  # noqa: E731

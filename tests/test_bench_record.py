@@ -1,0 +1,83 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _SCRIPT)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+SPEC = {"end_to_end": [{"name": "jobs_per_s", "better": "higher"},
+                       {"name": "job_ms.p50", "better": "lower"},
+                       {"name": "ok_frac", "better": "higher"}],
+        "per_layer": [{"name": "hermite.samples", "better": "lower"}]}
+
+
+def _record(path, seed, values, trace=0, seconds=35, sha="aaa"):
+    units = {"jobs_per_s": "1/s", "job_ms.p50": "ms", "ok_frac": "frac",
+             "hermite.samples": "count"}
+    path.write_text(json.dumps({
+        "workload": "coeff-transform", "seed": seed, "seconds": seconds, "trace": trace,
+        "env": {"git_sha": sha},
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}))
+    return str(path)
+
+
+def test_two_records(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    parent = _record(tmp_path / "p.json", 7,
+                     {"jobs_per_s": 63.0, "job_ms.p50": 15.4, "ok_frac": 1.0})
+    change = _record(tmp_path / "c.json", 7,
+                     {"jobs_per_s": 118.0, "job_ms.p50": 8.6, "ok_frac": 1.0}, sha="bbb")
+    assert bench_record.main(["--label", "demo", "--parent", parent, "--change", change],
+                             root=tmp_path) == 0
+    out = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert (out["label"], out["parent_sha"], out["change_sha"]) == ("demo", "aaa", "bbb")
+    assert out["per_layer"] == {}
+    run = out["end_to_end"]["coeff-transform"]
+    assert (run["seeds"], run["pairs"], run["seconds"]) == ([7], 1, 35)
+    jobs = run["metrics"]["jobs_per_s"]
+    assert jobs["parent"] == {"median": 63.0, "q1": 63.0, "q3": 63.0}
+    assert jobs["change"]["median"] == 118.0
+    assert (jobs["unit"], jobs["better"], jobs["change_wins"]) == ("1/s", "higher", 1)
+    # a lower time wins; a tie counts for neither side
+    assert run["metrics"]["job_ms.p50"]["change_wins"] == 1
+    assert run["metrics"]["ok_frac"]["change_wins"] == 0
+
+
+def test_pairs_by_seed_and_splits_traced_runs(tmp_path):
+    parents = [_record(tmp_path / f"p{s}.json", s, {"jobs_per_s": v})
+               for s, v in [(1, 10.0), (2, 20.0), (3, 30.0), (4, 40.0), (5, 50.0)]]
+    # listed in another order, and losing at seed 3
+    changes = [_record(tmp_path / f"c{s}.json", s, {"jobs_per_s": v})
+               for s, v in [(5, 51.0), (3, 29.0), (1, 11.0), (2, 21.0), (4, 41.0)]]
+    parents.append(_record(tmp_path / "pt.json", 1, {"hermite.samples": 18100.0}, trace=1))
+    changes.append(_record(tmp_path / "ct.json", 1, {"hermite.samples": 0.0}, trace=1))
+    out = bench_record.build_record(parents, changes, "x", SPEC)
+    jobs = out["end_to_end"]["coeff-transform"]["metrics"]["jobs_per_s"]
+    assert jobs["parent"] == {"median": 30.0, "q1": 15.0, "q3": 45.0}
+    assert jobs["change_wins"] == 4
+    samples = out["per_layer"]["coeff-transform"]["metrics"]["hermite.samples"]
+    assert samples["change_wins"] == 1 and samples["change"]["median"] == 0.0
+
+
+@pytest.mark.parametrize("change_seed,seconds,match", [(8, 35, "do not pair"),
+                                                       (7, 10, "different lengths")])
+def test_unpaired_runs_are_refused(tmp_path, change_seed, seconds, match):
+    parent = _record(tmp_path / "p.json", 7, {"jobs_per_s": 1.0})
+    change = _record(tmp_path / "c.json", change_seed, {"jobs_per_s": 1.0}, seconds=seconds)
+    with pytest.raises(ValueError, match=match):
+        bench_record.build_record([parent], [change], "x", SPEC)
+
+
+def test_one_commit_per_side(tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    parents = [_record(tmp_path / f"p{s}.json", s, {"jobs_per_s": 1.0}, sha=sha)
+               for s, sha in [(1, "aaa"), (2, "ccc")]]
+    changes = [_record(tmp_path / f"c{s}.json", s, {"jobs_per_s": 1.0}) for s in (1, 2)]
+    assert bench_record.main(["--label", "x", "--parent", *parents, "--change", *changes],
+                             root=tmp_path) == 2
+    assert "parent records come from 2 commits" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -21,8 +21,8 @@ from wickops.bargmann import AccuracyWarning, bargmann_coeff, bargmann_integral,
 from wickops.cli import _write_json, main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
 from wickops.hermite import synthesize
-from wickops.symbols import (OperatorMatrix, RealSymbol, WickSymbol, weyl_matrix,
-                             wick_matrix)
+from wickops.symbols import (MAX_MATRIX_ENTRIES, OperatorMatrix, RealSymbol, WickSymbol,
+                             weyl_matrix, wick_matrix)
 
 
 def write_json(path, obj):
@@ -530,6 +530,30 @@ class TestErrorExitCodes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "usage"
         assert "6250000" in error["message"] and str(MAX_QUAD_NODES) in error["message"]
+
+    @pytest.mark.parametrize("argv", [["garding", "--truncations", "8,40"],
+                                      ["wick-matrix", "--degree", "40"]])
+    def test_over_budget_matrix_is_refused_at_once(self, tmp_path, capsys, argv):
+        # a 13,244 x 12,341 complex matrix (2.6 GB) at d = 3
+        a = WickSymbol(3, {((1, 0, 0), (1, 0, 0)): 1.0})
+        inp = write_json(tmp_path / "d3.json", a.to_json_dict())
+        t0 = time.perf_counter()
+        code = main([argv[0], "--input", inp, "--output", str(tmp_path / "o.json"), *argv[1:]])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage"
+        assert "163444204" in error["message"] and str(MAX_MATRIX_ENTRIES) in error["message"]
+
+    def test_over_budget_quadrature_of_an_expansion_is_refused_at_once(self, tmp_path, capsys):
+        f = CoefficientExpansion(4, HERMITE, {(1, 0, 0, 0): 1.0})
+        inp = write_json(tmp_path / "d4.json", f.to_json_dict())
+        t0 = time.perf_counter()
+        code = main(["hermite-coeffs", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--degree", "30"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0  # refused before synthesizing on 50^4 nodes
+        assert "6250000" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     @pytest.mark.parametrize("order,want", [("400", 4), ("100000", 2)])
     def test_quadrature_order_without_a_finite_rule(self, tmp_path, capsys, order, want):

@@ -1,14 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from wickops.core import (HERMITE, CoefficientExpansion, InputDataError, UsageError,
-                          enumerate_basis, gauss_hermite)
+from wickops.core import (HERMITE, MAX_QUAD_NODES, CoefficientExpansion, InputDataError,
+                          UsageError, enumerate_basis, gauss_hermite)
 from wickops.hermite import (
     ANNIHILATION,
     CREATION,
     LadderKind,
+    _tensor_values,
     apply_hermite_operator,
     apply_ladder,
     hermite_coefficients,
@@ -144,6 +146,104 @@ class TestHermiteCoefficients:
             hermite_coefficients(f, 1, 2)
 
 
+def _random_expansion(d, degree, parity, seed):
+    """Random complex coefficients on the degree <= degree basis; with
+    parity "odd" only odd total degrees, and with "empty" none at all."""
+    rng = np.random.default_rng(seed)
+    coeffs = {a: complex(*rng.standard_normal(2)) for a in enumerate_basis(d, degree)
+              if parity == "any" or (parity == "odd" and a.degree() % 2 == 1)}
+    return CoefficientExpansion(d, HERMITE, coeffs)
+
+
+def _box(axis, d):
+    """The tensor grid axis^d as (n, d) points, last coordinate fastest."""
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+class TestTensorValues:
+    @pytest.mark.parametrize("d, degree", [(1, 24), (2, 9), (3, 5)])
+    @pytest.mark.parametrize("parity", ["any", "odd", "empty"])
+    def test_matches_synthesize(self, d, degree, parity):
+        # the per-axis contraction against synthesize's per-term loop
+        f = _random_expansion(d, degree, parity, 200 + 10 * d + degree)
+        for nodes in (gauss_hermite(degree + 7).nodes, np.linspace(-5.0, 4.0, 13)):
+            got = _tensor_values(f, nodes)
+            assert got.shape == (len(nodes),) * d
+            want = synthesize(f, _box(nodes, d))
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-14 * scale
+            if parity == "empty":
+                assert not np.any(got)
+
+    def test_sparse_high_degree_terms(self):
+        # terms that leave most of the (N+1)^d block empty
+        f = CoefficientExpansion(2, HERMITE, {(9, 0): 1.5, (0, 7): -2j, (3, 3): 0.25})
+        nodes = np.linspace(-4.0, 4.0, 11)
+        want = synthesize(f, _box(nodes, 2))
+        assert np.max(np.abs(_tensor_values(f, nodes).ravel() - want)) <= \
+            1e-14 * np.max(np.abs(want))
+
+    def test_coefficient_block_over_the_budget_is_refused(self):
+        # degree 100 at d = 3 fills a 101^3 block, just over the budget
+        f = CoefficientExpansion(3, HERMITE, {(100, 0, 0): 1.0})
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError, match=f"1030301-entry.*{MAX_QUAD_NODES}"):
+            hermite_coefficients(f, 3, 2, quad_order=3)
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestExpansionRoute:
+    @pytest.mark.parametrize("d, degree, parity", [
+        (1, 24, "any"), (1, 9, "odd"), (2, 8, "any"), (2, 7, "odd"),
+        (3, 6, "any"), (3, 5, "odd"), (2, 4, "empty")])
+    def test_matches_the_callback_route(self, d, degree, parity):
+        f = _random_expansion(d, degree - 2, parity, 300 + 10 * d + degree)
+        got = hermite_coefficients(f, d, degree)
+        want = hermite_coefficients(lambda pts: synthesize(f, pts), d, degree)
+        scale = max([abs(c) for c in want.coeffs.values()], default=1.0)
+        keys = set(got.coeffs) | set(want.coeffs)
+        assert max((abs(got.coeffs.get(a, 0) - want.coeffs.get(a, 0)) for a in keys),
+                   default=0.0) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_aliasing_past_the_rule_exactness(self, d):
+        # h_7 against h_3 needs degree 10 > 2q - 1 = 9 from the 5-point rule,
+        # so the output is not the input: it is the quadrature of samples
+        f = CoefficientExpansion(d, HERMITE, {(7,) + (0,) * (d - 1): 1.0,
+                                              (1,) * d: 0.5 - 0.5j})
+        got = hermite_coefficients(f, d, 4, quad_order=5)
+        want = hermite_coefficients(lambda pts: synthesize(f, pts), d, 4, quad_order=5)
+        basis = enumerate_basis(d, 4)
+        dev = max(abs(got.coeffs.get(a, 0) - want.coeffs.get(a, 0)) for a in basis)
+        assert dev <= 1e-14 * max(abs(c) for c in want.coeffs.values())
+        alias = (3,) + (0,) * (d - 1)
+        assert abs(got.coeffs[alias]) > 0.1  # absent from the input
+        assert abs(got.coeffs[(1,) * d] - (0.5 - 0.5j)) <= 1e-13
+
+    def test_guards(self):
+        f = CoefficientExpansion(2, HERMITE, {(1, 0): 1.0})
+        with pytest.raises(UsageError, match="dimension 1"):
+            hermite_coefficients(f, 1, 4)
+        with pytest.raises(UsageError, match="hermite-side"):
+            hermite_coefficients(f.with_side("fock"), 2, 4)
+
+    def test_over_budget_rule_is_refused_on_both_routes(self):
+        # 50^4 = 6,250,000 nodes: refused before anything is sampled
+        f = CoefficientExpansion(4, HERMITE, {(1, 0, 0, 0): 1.0})
+        for route in (f, lambda pts: synthesize(f, pts)):
+            t0 = time.perf_counter()
+            with pytest.raises(UsageError, match=f"6250000.*{MAX_QUAD_NODES}"):
+                hermite_coefficients(route, 4, 30)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_overflow_is_an_input_error_on_both_routes(self):
+        f = CoefficientExpansion(1, HERMITE, {(0,): 1.5e308, (1,): 1.5e308, (2,): 1.5e308})
+        for route in (f, lambda pts: synthesize(f, pts)):
+            with pytest.raises(InputDataError), np.errstate(over="ignore", invalid="ignore"):
+                hermite_coefficients(route, 1, 4)
+
+
 class TestSynthesize:
     def test_ground_state(self):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0})
@@ -253,7 +353,43 @@ class TestHermiteOperator:
             assert acc.coeffs[key] == pytest.approx(via_r.coeffs[key])
 
 
+def _probe_reference(f, n_max, grid):
+    """Grid sup-norms of R^N f through synthesize, with the N-th iterate's
+    coefficients c_a (2|a| + d)^N written out."""
+    sups = []
+    for n in range(n_max + 1):
+        iterate = CoefficientExpansion(f.dimension, HERMITE, {
+            a: c * (2 * a.degree() + f.dimension) ** n for a, c in f.coeffs.items()})
+        sups.append(np.max(np.abs(synthesize(iterate, grid))))
+    return np.array(sups)
+
+
 class TestNormGrowthProbe:
+    @pytest.mark.parametrize("d, degree, n_max", [(1, 10, 8), (1, 3, 20), (2, 5, 6)])
+    def test_default_grid_matches_synthesis(self, d, degree, n_max):
+        # the default grid is the box [-L, L]^d of 201 points per axis
+        f = _random_expansion(d, degree, "any", 400 + 10 * d + degree)
+        L = math.sqrt(4.0 * n_max + 2.0 * degree + 2.0)
+        want = _probe_reference(f, n_max, _box(np.linspace(-L, L, 201), d))
+        np.testing.assert_allclose(norm_growth_probe(f, n_max), want, rtol=1e-12)
+
+    def test_default_grid_in_three_dimensions_is_refused(self):
+        f = CoefficientExpansion(3, HERMITE, {(1, 0, 0): 1.0})
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError, match=f"8120601 points.*{MAX_QUAD_NODES}"):
+            norm_growth_probe(f, 4)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_given_grid_over_the_budget_is_refused(self):
+        f = CoefficientExpansion(1, HERMITE, {(1,): 1.0})
+        grid = np.broadcast_to(np.zeros(1), (MAX_QUAD_NODES + 1, 1))
+        with pytest.raises(UsageError, match=str(MAX_QUAD_NODES + 1)):
+            norm_growth_probe(f, 2, grid)
+
+    def test_zero_expansion(self):
+        f = CoefficientExpansion(2, HERMITE, {})
+        np.testing.assert_array_equal(norm_growth_probe(f, 3), np.zeros(4))
+
     def test_ground_state_is_flat(self):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0})
         sups = norm_growth_probe(f, 6)

@@ -19,6 +19,7 @@ from wickops.core import (
 from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 from wickops.symbols import (
     KOHN_NIRENBERG,
+    MAX_MATRIX_ENTRIES,
     WEYL,
     OperatorMatrix,
     RealSymbol,
@@ -290,6 +291,23 @@ class TestAssemblerAgainstLoops:
                 np.testing.assert_array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestMatrixBudget:
+    @pytest.mark.parametrize("build", [
+        lambda: wick_matrix(WickSymbol(3, {((1, 0, 0), (0, 0, 1)): 1.0}), 40),
+        lambda: antiwick_matrix(WickSymbol(3, {((2, 0, 0), (0, 0, 0)): 1.0},
+                                           point_symbol=True), 40),
+        lambda: weyl_matrix(RealSymbol(2, WEYL, {((1, 0), (1, 0)): 1.0}), 300),
+        # small matrices on huge coordinate tables: 1 column, 20,001^2 entries
+        lambda: kn_matrix(RealSymbol(1, KOHN_NIRENBERG, {((20000,), (0,)): 1.0}), 0),
+        lambda: wick_matrix(WickSymbol(1, {((20000,), (0,)): 1.0}), 0),
+    ])
+    def test_refused_before_allocation(self, build):
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError, match=f"over the budget of {MAX_MATRIX_ENTRIES}"):
+            build()
+        assert time.perf_counter() - t0 < 1.0
 
 
 def _ladder_dense(d, n, kind, j):
