@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 
 import numpy as np
 
@@ -41,9 +42,9 @@ WEYL = "weyl"
 # arrays of this length
 MAX_GRID_PAIRS = 1_000_000
 
-# largest matrix, or 1-d coordinate table, that _assemble builds, in
-# entries; assembly holds the complex matrix and three temporaries of its
-# shape, about 480 MB at this size
+# largest matrix, 1-d coordinate table or to-wick system built, in entries;
+# _assemble holds the complex matrix and blocks of a quarter of its entries,
+# about twice the matrix's 160 MB at this size
 MAX_MATRIX_ENTRIES = 10_000_000
 
 
@@ -353,42 +354,83 @@ def japanese_bracket(v):
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def _check_matrix_size(d: int, n_in: int, n_out: int) -> int:
+def _check_matrix_size(d: int, n_in: int, n_out: int, copies: int = 1) -> int:
     """Column count of the matrix between the graded bases of degrees <= n_in
-    and <= n_out; the matrix and its (n_out + 1)^2-entry coordinate tables
-    are refused over MAX_MATRIX_ENTRIES entries before either is built."""
+    and <= n_out; `copies` such matrices and their (n_out + 1)^2-entry coordinate
+    tables are refused over MAX_MATRIX_ENTRIES entries before any is built."""
     n_rows, n_cols = math.comb(n_out + d, d), math.comb(n_in + d, d)
-    size = max(n_rows * n_cols, (n_out + 1) ** 2)
+    size = max(copies * n_rows * n_cols, (n_out + 1) ** 2)
     if size > MAX_MATRIX_ENTRIES:
-        raise UsageError(f"a {n_rows} x {n_cols} matrix on {n_out + 1} x {n_out + 1} "
-                         f"coordinate tables needs {size} entries, over the budget of "
+        raise UsageError(f"{size} entries ({copies} x {n_rows} x {n_cols} matrix, {n_out + 1} x "
+                         f"{n_out + 1} coordinate tables) are over the budget of "
                          f"{MAX_MATRIX_ENTRIES}; lower the degree")
     return n_cols
 
 
+@lru_cache(maxsize=64)
+def _graded_columns(d: int, n_in: int, n_out: int):
+    """Columns g, their suffix sums g_j + ... + g_{d-1}, below[s, j] = #{d - j, degree < s}."""
+    cols = np.array(enumerate_basis(d, n_in), dtype=np.intp).reshape(-1, d)
+    below = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(d, 0, -1)]
+                      for s in range(n_out + 1)], dtype=np.intp)
+    suffix = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
+    cols.flags.writeable = suffix.flags.writeable = below.flags.writeable = False
+    return cols, suffix, below
+
+
+def _entries(keys, d, n_in, n_out, table):
+    """Non-zero entries (key number, row, col, factor) of the matrices
+    prod_j T(alpha_j, beta_j), one per key (alpha, beta), from degrees <= n_in
+    to <= n_out, in key order and in blocks of max(M.size / 4, 2^16) entries.
+    table(a, b) is the (L, L) factor of the pair (a, b), L = n_out + 1, indexed
+    [out degree, in degree], kept as its non-zero diagonals k = out - in: one
+    per coordinate sends column g to row g + k, factors in coordinate order."""
+    cols, col_suffix, below = _graded_columns(d, n_in, n_out)
+    flat = list(chain.from_iterable(chain.from_iterable(keys)))
+    exponent = sorted(set(flat))  # ranked, so that pair codes stay small
+    ranks = np.fromiter(map({e: i for i, e in enumerate(exponent)}.__getitem__, flat), np.intp)
+    codes = ranks.reshape(-1, 2, d)[:, 0] * len(exponent) + ranks.reshape(-1, 2, d)[:, 1]
+    pairs = sorted(set(codes.ravel().tolist()))
+    tables = np.array([table(*(exponent[r] for r in divmod(code, len(exponent))))
+                       for code in pairs]).reshape(len(pairs), n_out + 1, n_out + 1)
+    # non-zero diagonals of each table on the column degrees g, as (pair, k + n_in)
+    pair, out, g = np.nonzero(tables[:, :, :n_in + 1])
+    kept = np.zeros((len(pairs), n_in + n_out + 1), dtype=bool)
+    kept[pair, out - g + n_in] = True
+    pair, shifted = np.nonzero(kept)
+    out = np.arange(n_in + 1) + shifted[:, None] - n_in
+    values = np.where((out >= 0) & (out <= n_out),
+                      tables[pair[:, None], out.clip(0, n_out), np.arange(n_in + 1)], 0)
+    per_pair = kept.sum(axis=1)
+    pair_of = np.searchsorted(pairs, codes)
+    count, first = per_pair[pair_of], (np.cumsum(per_pair) - per_pair)[pair_of]
+    # each key with each choice of diagonals, the last coordinate's fastest
+    total = count.prod(axis=1)
+    key = np.repeat(np.arange(len(keys)), total)
+    local = np.arange(len(key)) - np.repeat(np.cumsum(total) - total, total)
+    stride = np.c_[np.cumprod(count[:, :0:-1], axis=1)[:, ::-1], np.ones_like(total)]
+    diag = first[key] + local[:, None] // stride[key] % count[key]
+    shift = np.cumsum(shifted[diag][:, ::-1] - n_in, axis=1)[:, ::-1]
+    step = max(1, max(math.comb(n_out + d, d) * len(cols) // 4, 2**16) // len(cols))
+    for start in range(0, len(key), step):
+        block = diag[start:start + step]
+        factor = values[block[:, 0, None], cols[None, :, 0]]
+        for j in range(1, d):
+            factor = factor * values[block[:, j, None], cols[None, :, j]]
+        i, col = np.nonzero(factor)
+        row = below[col_suffix[col] + shift[start + i], np.arange(d)].sum(axis=1)
+        yield key[start + i], row, col, factor[i, col]
+
+
 def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
     """Matrix of sum c * prod_j T(alpha_j, beta_j) over the terms
-    {(alpha, beta): c}, between the graded bases of degrees <= n_in (columns)
-    and <= n_out (rows).
-
-    table(a, b) is the (L, L) one-dimensional factor of the exponent pair
-    (a, b), L = n_out + 1, indexed [out degree, in degree]; it is gathered at
-    the row and column multi-indices of each coordinate.  Each distinct pair
-    is tabulated once per call.
-    """
+    {(alpha, beta): c}, table as in _entries, scattered with np.add.at in
+    term order: each entry sums the products a dense per-term sum would."""
     n_cols = _check_matrix_size(d, n_in, n_out)
-    rows = np.array(enumerate_basis(d, n_out), dtype=int).reshape(-1, d)
-    cols = rows[:n_cols]
-    tables = {}
-    M = np.zeros((len(rows), len(cols)), dtype=complex)
-    for (alpha, beta), c in terms.items():
-        factor = None
-        for j, pair in enumerate(zip(alpha, beta)):
-            if pair not in tables:
-                tables[pair] = table(*pair)
-            gathered = tables[pair][rows[:, j, None], cols[None, :, j]]
-            factor = gathered if factor is None else factor * gathered
-        M += c * factor
+    M = np.zeros((math.comb(n_out + d, d), n_cols), dtype=complex)
+    c = np.array(list(terms.values()), dtype=complex)
+    for term, row, col, factor in _entries(list(terms), d, n_in, n_out, table):
+        np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
     return OperatorMatrix(d, n_in, n_out, side, M)
 
 
@@ -527,8 +569,8 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     Bargmann conjugation of Op(b) (identity on coefficients).
 
     Solved as an exact linear system: unknown coefficients on all monomials
-    of total degree <= deg(b), equations from the quantization matrix built
-    at degree n_probe.
+    of total degree <= deg(b), whose unit Wick matrices are built in one pass,
+    equations from the quantization matrix built at degree n_probe.
     """
     deg = b.total_degree
     if n_probe is None:
@@ -536,15 +578,13 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     if n_probe < deg:
         raise UsageError(f"n_probe {n_probe} below symbol degree {deg}")
     d = b.dimension
-    target = quantization_matrix(b, n_probe)  # hermite side; fock side identical
-    keys = enumerate_symbol_keys(d, deg)
-    n_out_common = n_probe + deg
-    cols = []
-    for alpha, beta in keys:
-        unit = WickSymbol(d, {(alpha, beta): 1.0})
-        cols.append(wick_matrix(unit, n_probe).embedded(n_out_common).entries.ravel())
-    A = np.array(cols).T
-    rhs = target.embedded(n_out_common).entries.ravel()
+    keys, n_out = enumerate_symbol_keys(d, deg), n_probe + deg
+    n_cols = _check_matrix_size(d, n_probe, n_out, len(keys))
+    A = np.zeros((len(keys), math.comb(n_out + d, d) * n_cols), dtype=complex).T
+    for key, row, col, factor in _entries(keys, d, n_probe, n_out,
+                                          lambda p, q: _fock_table(p, q, n_out + 1, False)):
+        A[row * n_cols + col, key] = factor
+    rhs = quantization_matrix(b, n_probe).embedded(n_out).entries.ravel()
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = np.max(np.abs(A @ coeffs - rhs)) if rhs.size else 0.0
     scale = max(1.0, np.max(np.abs(rhs)) if rhs.size else 0.0)

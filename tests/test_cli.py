@@ -545,6 +545,20 @@ class TestErrorExitCodes:
         assert error["kind"] == "usage"
         assert "163444204" in error["message"] and str(MAX_MATRIX_ENTRIES) in error["message"]
 
+    def test_over_budget_to_wick_system_is_refused_at_once(self, tmp_path, capsys):
+        # 70 unit Wick matrices of 2145 x 1891 entries at d = 2, symbol degree 4:
+        # 284M complex entries (4.5 GB), each matrix within the budget on its own
+        b = RealSymbol(2, "weyl", {((2, 0), (1, 1)): 1.0})
+        inp = write_json(tmp_path / "b.json", b.to_json_dict())
+        t0 = time.perf_counter()
+        code = main(["to-wick", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--degree", "60"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage"
+        assert "283933650" in error["message"] and str(MAX_MATRIX_ENTRIES) in error["message"]
+
     def test_over_budget_quadrature_of_an_expansion_is_refused_at_once(self, tmp_path, capsys):
         f = CoefficientExpansion(4, HERMITE, {(1, 0, 0, 0): 1.0})
         inp = write_json(tmp_path / "d4.json", f.to_json_dict())

@@ -3,9 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickops.core import MultiIndex, UsageError
-from wickops.symbols import WickSymbol, antiwick_matrix, wick_matrix
+from wickops.symbols import WickSymbol, antiwick_matrix, enumerate_symbol_keys, wick_matrix
 from wickops.expansion import (
     decompose,
     decomposition_matrix,
@@ -101,6 +102,15 @@ class TestDecompose:
         assert len(decomp.remainder_terms) == 1
 
 
+@st.composite
+def _drawn_symbols(draw):
+    """A Wick symbol at d = 1 or 2 with up to 5 terms of total degree <= 3."""
+    d = draw(st.integers(1, 2))
+    keys = draw(st.lists(st.sampled_from(enumerate_symbol_keys(d, 3)), max_size=5, unique=True))
+    return WickSymbol(d, {key: draw(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)))
+                          for key in keys})
+
+
 class TestVerifyDecomposition:
     def test_bilinear_symbol_exact(self):
         a = WickSymbol(1, {((1,), (1,)): 1.0})
@@ -129,6 +139,12 @@ class TestVerifyDecomposition:
                     assert all(not t.symbol.terms for t in decomp.remainder_terms)
                     trunc = 5 if d == 2 else 8
                     assert verify_decomposition(a, order, trunc) <= 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_drawn_symbols(), st.integers(0, 3), st.integers(0, 6))
+    def test_identity_at_drawn_orders_and_truncations(self, a, order, trunc):
+        scale = max(1.0, np.max(np.abs(wick_matrix(a, trunc).entries), initial=0.0))
+        assert verify_decomposition(a, order, trunc) <= 1e-12 * scale
 
     def test_remainder_necessity(self):
         # dropping an active remainder breaks the identity; keeping it restores it

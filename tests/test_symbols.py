@@ -1,16 +1,21 @@
 import functools
 import math
 import time
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wickops import symbols
 from wickops.bargmann import evaluate_fock
 from wickops.core import (
     FOCK,
     HERMITE,
     CoefficientExpansion,
+    MultiIndex,
     NumericalError,
     UsageError,
     basis_index_map,
@@ -308,6 +313,156 @@ class TestMatrixBudget:
         with pytest.raises(UsageError, match=f"over the budget of {MAX_MATRIX_ENTRIES}"):
             build()
         assert time.perf_counter() - t0 < 1.0
+
+
+def _gather_matrix(terms, d, n_in, n_out, table, side):
+    """Reference assembler, a dense per-term gather: every term adds c times
+    the product over coordinates of its 1-d tables, gathered at all
+    (row, column) pairs of graded multi-indices, in term order."""
+    rows = np.array(enumerate_basis(d, n_out), dtype=int).reshape(-1, d)
+    cols = rows[: len(enumerate_basis(d, n_in))]
+    tables = {}
+    M = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (alpha, beta), c in terms.items():
+        factor = None
+        for j, pair in enumerate(zip(alpha, beta)):
+            if pair not in tables:
+                tables[pair] = table(*pair)
+            gathered = tables[pair][rows[:, j, None], cols[None, :, j]]
+            factor = gathered if factor is None else factor * gathered
+        M += c * factor
+    return OperatorMatrix(d, n_in, n_out, side, M)
+
+
+def _by_gather(build, symbol, n_in):
+    """build(symbol, n_in) with the dense gather in place of the package's
+    assembler: the builder's own 1-d tables, another route to the matrix."""
+    with mock.patch.object(symbols, "_assemble", _gather_matrix):
+        return build(symbol, n_in)
+
+
+BUILDERS = {
+    "wick": (wick_matrix, lambda d, terms: WickSymbol(d, terms)),
+    "antiwick": (antiwick_matrix, lambda d, terms: WickSymbol(d, terms, point_symbol=True)),
+    "kn": (kn_matrix, lambda d, terms: RealSymbol(d, KOHN_NIRENBERG, terms)),
+    "weyl": (weyl_matrix, lambda d, terms: RealSymbol(d, WEYL, terms)),
+}
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_VALUES = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+
+
+@st.composite
+def _drawn_terms(draw, max_d=3, degree=5, max_terms=6):
+    """(d, {(alpha, beta): c}) with |alpha| + |beta| <= degree."""
+    d = draw(st.integers(1, max_d))
+    keys = draw(st.lists(st.sampled_from(enumerate_symbol_keys(d, degree)),
+                         max_size=max_terms, unique=True))
+    return d, {key: draw(_VALUES) for key in keys}
+
+
+class TestScatterAgainstGather:
+    """The scatter assembler against the dense gather, bitwise, on the tables
+    of all four builders."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_drawn_terms(), st.integers(0, 6))
+    def test_drawn_symbols(self, drawn, n_in):
+        d, terms = drawn
+        for build, make in BUILDERS.values():
+            symbol = make(d, terms)
+            _assert_bitwise(build(symbol, n_in).entries,
+                            _by_gather(build, symbol, n_in).entries)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_empty_symbol(self, kind):
+        build, make = BUILDERS[kind]
+        M = build(make(2, {}), 3).entries
+        assert M.shape == (10, 10) and not M.any()
+        _assert_bitwise(M, _by_gather(build, make(2, {}), 3).entries)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("d,terms,n_in", [
+        (1, {((25,), (3,)): 1.5 - 0.5j, ((2,), (24,)): -2.0, ((0,), (30,)): 1j}, 12),
+        (2, {((9, 0), (7, 2)): 1.5 - 0.5j, ((0, 8), (1, 0)): -2.0, ((3, 3), (3, 3)): 0.25j}, 4),
+    ])
+    def test_high_degree_per_coordinate(self, kind, d, terms, n_in):
+        build, make = BUILDERS[kind]
+        symbol = make(d, terms)
+        _assert_bitwise(build(symbol, n_in).entries, _by_gather(build, symbol, n_in).entries)
+
+
+class TestWickSystem:
+    """The to-wick system, built in one pass, against unit Wick matrices
+    assembled one by one through the dense gather and stacked as columns."""
+
+    @pytest.mark.parametrize("d,deg,n_probe", [(1, 1, 1), (1, 4, 6), (2, 3, 3), (2, 4, 5),
+                                               (3, 2, 2)])
+    def test_bitwise_against_stacked_unit_matrices(self, d, deg, n_probe):
+        b = RealSymbol(d, WEYL, {((deg,) + (0,) * (d - 1), (0,) * d): 1.0})  # x_0^deg
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as solve:
+            real_to_wick_symbol(b, n_probe)
+        stacked = np.array([_by_gather(wick_matrix, WickSymbol(d, {key: 1.0}), n_probe)
+                            .embedded(n_probe + deg).entries.ravel()
+                            for key in enumerate_symbol_keys(d, deg)]).T
+        _assert_bitwise(solve.call_args.args[0], stacked)
+
+    def test_refused_before_allocation(self):
+        # 70 unit matrices of 2145 x 1891 entries, each within the budget alone
+        b = RealSymbol(2, WEYL, {((2, 0), (1, 1)): 1.0})
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError, match=f"^283933650 entries .* over the budget of "
+                                             f"{MAX_MATRIX_ENTRIES}"):
+            real_to_wick_symbol(b, 60)
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestAssemblerScale:
+    def test_thirty_coordinates(self):
+        # a 496 x 31 matrix; a dense (n_out + 1)^d position table would hold 3^30
+        d = 30
+        a = WickSymbol(d, {(MultiIndex.unit(d, j), MultiIndex.unit(d, (j + 7) % d)): 1.0 + j
+                           for j in range(d)})
+        t0 = time.perf_counter()
+        M = wick_matrix(a, 1).entries
+        assert time.perf_counter() - t0 < 1.0
+        assert M.shape == (496, 31)
+        want = _loop_matrix(a, 1, False)
+        assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_memory_of_a_many_term_weyl_symbol(self):
+        # 210 terms of degree <= 6 at d = 2: a 703 x 496 matrix of 5.6 MB
+        rng = np.random.default_rng(8)
+        b = RealSymbol(2, WEYL, {key: complex(*rng.standard_normal(2))
+                                 for key in enumerate_symbol_keys(2, 6)})
+        tracemalloc.start()
+        try:
+            M = weyl_matrix(b, 30).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * M.nbytes
+
+
+class TestAdjoint:
+    """On the square block of degrees <= n, the matrix of the conjugate
+    symbol is the conjugate transpose."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_drawn_terms(max_d=2, degree=4), st.integers(0, 5), st.booleans())
+    def test_conjugate_symbol(self, drawn, n, antiwick):
+        d, terms = drawn
+        a = WickSymbol(d, terms, point_symbol=antiwick)
+        build = antiwick_matrix if antiwick else wick_matrix
+        M = build(a, n).compressed().entries
+        adjoint = build(a.conjugate(), n).compressed().entries
+        scale = max(1.0, np.max(np.abs(M), initial=0.0))
+        assert np.max(np.abs(adjoint - M.conj().T), initial=0.0) <= 1e-12 * scale
 
 
 def _ladder_dense(d, n, kind, j):
