@@ -119,11 +119,12 @@ def _emit(payload, args, csv_lines=None):
 
 
 # The stdlib's C encoder runs only without indent; an indented json.dump
-# encodes token by token in Python.  So _write_json lets the C encoder spell
-# each piece of up to _PIECE list items on one line and indents that text
-# itself.  A piece qualifies when its items are all scalars, or all non-empty
-# rows of scalars: the compact text then holds no string, so ", " and "], ["
-# occur only as separators.  The C encoder is built once, as
+# encodes token by token in Python.  So _write_json fills each piece of up to
+# _PIECE list items into one indented template, with texts the C encoder
+# spells in one call: the piece's scalars, split on ", " (a piece qualifies
+# only if it holds no string), or a float array's distinct values.  Other
+# pieces are written item by item.  Each value goes out in one write call,
+# joined to the `head` text before it.  The C encoder is built once, as
 # json.JSONEncoder() would build it on every call, but without the
 # circular-reference markers, so no state is carried between calls.
 _c_encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
@@ -141,77 +142,135 @@ _SCALARS = (int, float, type(None))
 
 def _write_json(fh, obj):
     """Write obj to fh as json.dump(obj, fh, indent=2, sort_keys=True) does,
-    then a newline, without holding the whole text.  Dict keys must be str."""
+    then a newline, without holding the whole text.  Dict keys must be str;
+    a numpy array is written as its .tolist() would be."""
     _write_value(fh.write, obj, 0)
     fh.write("\n")
 
 
-def _write_value(write, obj, level):
+def _write_value(write, obj, level, head=""):
     if isinstance(obj, dict):
-        _write_dict(write, obj, level)
+        _write_dict(write, obj, level, head)
     elif isinstance(obj, (list, tuple)):
-        _write_list(write, obj, level)
+        _write_list(write, obj, level, head)
+    elif not isinstance(obj, np.ndarray):
+        write(head + _compact(obj))
+    elif obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+        _write_list(write, obj, level, head)
     else:
-        write(_compact(obj))
+        _write_value(write, obj.tolist(), level, head)
 
 
-def _write_dict(write, obj, level):
+def _write_dict(write, obj, level, head):
     if not obj:
-        write("{}")
+        write(head + "{}")
         return
     indent = "\n" + "  " * (level + 1)
-    sep = "{" + indent
+    sep = head + "{" + indent
     for key, value in sorted(obj.items()):
-        write(sep + encode_basestring_ascii(key) + ": ")
-        _write_value(write, value, level + 1)
+        key_head = sep + encode_basestring_ascii(key) + ": "
+        if isinstance(value, (str, int, float)):
+            write(key_head + _compact(value))
+        else:
+            _write_value(write, value, level + 1, key_head)
         sep = "," + indent
     write("\n" + "  " * level + "}")
 
 
-def _write_list(write, items, level):
-    if not items:
-        write("[]")
+def _write_list(write, items, level, head):
+    if len(items) == 0:
+        write(head + "[]")
         return
     indent = "\n" + "  " * (level + 1)
-    sep = "[" + indent
+    sep = head + "[" + indent
     for start in range(0, len(items), _PIECE):
         piece = items[start:start + _PIECE]
-        text = _indented_piece(piece, indent)
+        text = _filled_piece(piece, indent)
         if text is not None:
             write(sep + text)
             sep = "," + indent
             continue
         for item in piece:
-            write(sep)
-            _write_value(write, item, level + 1)
+            _write_value(write, item, level + 1, sep)
             sep = "," + indent
     write("\n" + "  " * level + "]")
 
 
-def _indented_piece(items, indent):
-    """The C encoder's text of a piece of list items, indented for a list
-    whose items start at `indent`; None unless the items are all scalars or
-    all non-empty rows of scalars."""
-    types = set(map(type, items))
-    if all(issubclass(t, _SCALARS) for t in types):
-        return _compact(items)[1:-1].replace(", ", "," + indent)
-    if types != {list} or not all(items):
+def _filled_piece(items, indent):
+    """The piece as one template filled with its scalars' texts, if it is a
+    float array's or its items are all scalars, all rows of n scalars or all
+    flat records (same keys, each a scalar or a scalar list of fixed length)."""
+    if isinstance(items, np.ndarray):
+        layout, texts = items.shape[1] if items.ndim == 2 else None, _float_texts(items)
+        return ("," + indent).join([_template(layout, indent)] * len(items)) % tuple(texts)
+    first = items[0]
+    if type(first) is list and first:
+        # one row needs no check beyond the first item's
+        if len(items) > 1 and (set(map(type, items)) != {list}
+                               or set(map(len, items)) != {len(first)}):
+            return None
+        layout, scalars = len(first), list(itertools.chain.from_iterable(items))
+    elif type(first) is dict and first:
+        layout = tuple((key, len(value) if type(value) is list and value else None)
+                       for key, value in sorted(first.items()))
+        scalars = []
+        for item in items:
+            if type(item) is not dict or item.keys() != first.keys():
+                return None
+            for key, n in layout:
+                value = item[key]
+                if n is None and isinstance(value, _SCALARS):
+                    scalars.append(value)
+                elif type(value) is list and len(value) == n:
+                    scalars += value
+                else:
+                    return None
+    else:
+        layout, scalars = None, items
+    try:
+        text = _compact(scalars)[1:-1]
+    except TypeError:  # an array, or a value JSON cannot spell
         return None
-    text = _compact(items)
-    # no string, hence no non-empty dict, and no list below the rows
-    if '"' in text or text.count("[") != len(items) + 1:
+    # a string, a list or a non-empty dict among the scalars shows as " or [
+    if '"' in text or "[" in text:
         return None
+    return ("," + indent).join([_template(layout, indent)] * len(items)) % tuple(text.split(", "))
+
+
+@functools.lru_cache(maxsize=64)
+def _template(layout, indent):
+    """A list item's text at `indent`, %s for each scalar and other % doubled;
+    the layout is None, n for a row of n, or a record's (key, layout) pairs."""
+    if layout is None:
+        return "%s"
     inner = indent + "  "
-    body = text[2:-2].replace("], [", indent + "]," + indent + "[" + inner)
-    return "[" + inner + body.replace(", ", "," + inner) + indent + "]"
+    if isinstance(layout, int):
+        return "[" + inner + ("," + inner).join(["%s"] * layout) + indent + "]"
+    fields = (encode_basestring_ascii(key).replace("%", "%%") + ": " + _template(n, inner)
+              for key, n in layout)
+    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+
+
+def _float_texts(values):
+    """The C encoder's texts of a float64 (or complex128, as re, im) array's
+    values in C order, each distinct bit pattern spelled once."""
+    bits = np.ascontiguousarray(values).view(np.uint64).ravel()
+    spots = np.flatnonzero(bits)  # +0.0 is the one all-zero pattern
+    patterns = bits[spots].tolist()
+    distinct = np.array(list(dict.fromkeys(patterns)), dtype=np.uint64)
+    spelled = dict(zip(distinct.tolist(),
+                       _compact(distinct.view(np.float64).tolist())[1:-1].split(", ")))
+    texts = ["0.0"] * bits.size
+    for spot, pattern in zip(spots.tolist(), patterns):
+        texts[spot] = spelled[pattern]
+    return texts
 
 
 def _matrix_csv(M: OperatorMatrix):
     """CSV lines of a matrix: a header, then row,col,re,im per entry in C order."""
-    rows, cols = (ix.ravel().tolist() for ix in np.indices(M.entries.shape))
-    pairs = M.to_json_dict()["entries"]
-    return ["row,col,re,im"] + [f"{i},{j},{re!r},{im!r}"
-                                for i, j, (re, im) in zip(rows, cols, pairs)]
+    rows, cols = (map(str, ix.ravel().tolist()) for ix in np.indices(M.entries.shape))
+    texts = _float_texts(M.entries)
+    return ["row,col,re,im", *map(",".join, zip(rows, cols, texts[0::2], texts[1::2]))]
 
 
 def _expression_callback(expr: str, dimension: int):
@@ -290,7 +349,7 @@ def _matrix_command(args, builder, loader):
     M = builder(symbol, degree)
     if args.format == "csv":
         return _emit({}, args, csv_lines=_matrix_csv(M))
-    return _emit({"result": M.to_json_dict()}, args)
+    return _emit({"result": M.to_json_dict(entries_as_array=True)}, args)
 
 
 def cmd_wick_matrix(args):

@@ -290,15 +290,16 @@ class OperatorMatrix:
             self.dimension, self.basis_side,
             {basis[i]: out[i] for i in range(len(basis)) if out[i] != 0})
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, entries_as_array: bool = False) -> dict:
+        """The JSON fields, one [re, im] pair per entry, rows in order; with
+        entries_as_array the pairs stay an (n, 2) float64 array, maybe a view."""
+        pairs = np.ascontiguousarray(self.entries, dtype=complex).view(float).reshape(-1, 2)
         return {
             "dimension": self.dimension,
             "n_in": self.domain_degree,
             "n_out": self.codomain_degree,
             "side": self.basis_side,
-            # one [re, im] pair per entry, rows in order
-            "entries": np.ascontiguousarray(self.entries, dtype=complex)
-                         .view(float).reshape(-1, 2).tolist(),
+            "entries": pairs if entries_as_array else pairs.tolist(),
         }
 
     @classmethod

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wickops
 import wickops.cli
@@ -22,7 +23,7 @@ from wickops.cli import _write_json, main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
 from wickops.hermite import synthesize
 from wickops.symbols import (MAX_MATRIX_ENTRIES, OperatorMatrix, RealSymbol, WickSymbol,
-                             weyl_matrix, wick_matrix)
+                             real_to_wick_symbol, weyl_matrix, wick_matrix)
 
 
 def write_json(path, obj):
@@ -271,6 +272,53 @@ _TREES = st.recursive(
     max_leaves=30)
 
 
+def _as_lists(tree):
+    """The tree with every numpy array replaced by its .tolist()."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: _as_lists(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_as_lists(v) for v in tree]
+    return tree
+
+
+# float64 arrays as the report writer gets a matrix: heavy repetition, signed
+# zeros, non-finite values, subnormals and values whose repr switches notation
+_ARRAY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1]),
+    st.floats())
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                  max_side=6), elements=_ARRAY_VALUES)
+_RECORD_KEYS = st.sampled_from(["%", "a%s", "%%", "\u00e9\u2603", "index", "value"]) | st.text()
+
+
+@st.composite
+def _records(draw):
+    """A list of dicts with the same keys, each key holding scalars or
+    non-empty scalar lists of one length, as the coefficient and cross-check
+    reports hold them."""
+    keys = draw(st.lists(_RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    lengths = {k: draw(st.sampled_from([None, 1, 2, 3])) for k in keys}
+
+    def field(n):
+        return draw(_NUMBERS if n is None else st.lists(_NUMBERS, min_size=n, max_size=n))
+    return [{k: field(n) for k, n in lengths.items()}
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+_ARRAY_TREES = st.recursive(
+    _NUMBERS | _ARRAYS | _records() | _ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=12)
+
+
+def _repeated(rows, values):
+    rng = np.random.default_rng(rows)
+    return rng.choice(np.array(values), size=(rows, 2))
+
+
 class TestReportWriter:
     """The report writer against the stdlib's indented encoder."""
 
@@ -288,6 +336,43 @@ class TestReportWriter:
     @example(list(range(3000)) + [[1.0]])
     def test_matches_indented_json_dump(self, tree):
         assert _written(tree) == _stdlib_report(tree)
+
+    @given(_ARRAY_TREES)
+    @example(np.zeros((0, 2)))
+    @example({"e": np.zeros((3, 0))})
+    @example(np.array([[0.5], [-0.0], [0.0]]))
+    @example(np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7]))
+    @example({"entries": _repeated(2500, [0.0, 0.0, 0.0, -0.0, 1.0, 1 / 3, -2.5e-8])})
+    @example([np.array([1.5, 2.5]), np.float64(3.5), np.arange(3)])
+    @example({"a": np.array(2.0), "b": np.arange(6.0).reshape(1, 2, 3)})
+    @example([{"%": 1.0, "a%s": [2, None], "%%": [True, False, 0.5]},
+              {"%": -0.0, "a%s": [10**40, 3], "%%": [1, 2, 3]}])
+    @example([{"\u00e9\u2603": None, "index": [0, 1]}] * 1030)
+    @example([{"index": [0, 1], "value": [1.0, 0.0]}, {"index": [1], "value": [2.0, 0.0]}])
+    @example([{"index": [0], "value": 1.0}, {"index": [1]}])
+    @example([{"index": [0], "value": 1.0}, {"index": [1], "value": 2.0, "extra": 3}])
+    @example([{"index": [0], "value": 1.0}, {"index": [1], "value": {"re": 2.0}}])
+    @example([{"index": [0], "value": {"re": 2.0}}, {"index": [1], "value": 1.0}])
+    @example([{"index": [], "value": 1.0}, {"index": [], "value": 2.0}])
+    @example([{"index": [0], "value": "a, b"}, {"index": [1], "value": "c"}])
+    @example([{"index": (0,), "value": 1.0}, {"index": (1,), "value": 2.0}])
+    def test_arrays_and_records_match_indented_json_dump(self, tree):
+        got, want = _written(tree), _stdlib_report(_as_lists(tree))
+        # on failure, the first difference in context: pytest's own diff of
+        # two long reports takes minutes
+        at = next((i for i, pair in enumerate(zip(got, want)) if len(set(pair)) > 1),
+                  min(len(got), len(want)))
+        same = got == want
+        assert same, (got[max(at - 60, 0):at + 60], want[max(at - 60, 0):at + 60])
+
+    def test_writes_one_piece_at_a_time(self):
+        entries = np.arange(6000.0).reshape(3000, 2)
+        fh = io.StringIO()
+        writes = []
+        fh.write = lambda text: writes.append(len(text))
+        _write_json(fh, {"entries": entries})
+        assert sum(writes) == len(_stdlib_report({"entries": entries.tolist()}))
+        assert max(writes) < sum(writes) / 2
 
     def test_non_str_key_is_refused(self):
         with pytest.raises(TypeError):
@@ -310,7 +395,13 @@ def report_inputs(tmp_path):
     real = RealSymbol(1, "weyl", {((2,), (0,)): 1.0, ((1,), (1,)): 0.7 - 0.2j})
     kn = RealSymbol(1, "kohn_nirenberg", real.terms)
     decay = CoefficientExpansion(1, HERMITE, {(k,): math.exp(-k) for k in range(40)})
+    # the benchmark's real-quantize shape: four degree-3 monomials in d = 2
+    quantize = RealSymbol(2, "weyl", {((2, 0), (1, 0)): 0.7, ((0, 1), (0, 2)): -1.3,
+                                      ((1, 1), (0, 1)): 1.1, ((1, 0), (1, 1)): -0.6})
     return {
+        "quantize-weyl": write_json(tmp_path / "quantize-weyl.json", quantize.to_json_dict()),
+        "quantize-wick": write_json(tmp_path / "quantize-wick.json",
+                                    real_to_wick_symbol(quantize, 3).to_json_dict()),
         "wick": write_json(tmp_path / "wick.json", wick.to_json_dict()),
         "antiwick": write_json(tmp_path / "antiwick.json", point.to_json_dict()),
         "real": write_json(tmp_path / "real.json", real.to_json_dict()),
@@ -336,6 +427,8 @@ class TestReportBytes:
         ("bound-check", "wick", ["--mode", "gs"]),
         ("bound-check", "wick", ["--mode", "shubin", "--grid-points", "3"]),
         ("selftest", None, []),
+        # 6,930 entry rows, across the writer's 1,024-item pieces
+        ("wick-matrix", "quantize-wick", ["--degree", "10"]),
     ])
     def test_json_report_is_the_stdlib_dump(self, tmp_path, capsys, report_inputs,
                                             command, source, options):
@@ -345,16 +438,17 @@ class TestReportBytes:
         text = out.read_text()
         assert text == _stdlib_report(json.loads(text))
 
-    @pytest.mark.parametrize("command,builder,loader,source", [
-        ("wick-matrix", wick_matrix, WickSymbol.from_json_dict, "wick"),
-        ("weyl-matrix", weyl_matrix, RealSymbol.from_json_dict, "real"),
+    @pytest.mark.parametrize("command,builder,loader,source,degree", [
+        ("wick-matrix", wick_matrix, WickSymbol.from_json_dict, "wick", 5),
+        ("weyl-matrix", weyl_matrix, RealSymbol.from_json_dict, "real", 5),
+        ("weyl-matrix", weyl_matrix, RealSymbol.from_json_dict, "quantize-weyl", 6),
     ])
     def test_matrix_csv_matches_per_entry_loop(self, tmp_path, report_inputs,
-                                               command, builder, loader, source):
+                                               command, builder, loader, source, degree):
         out = tmp_path / "m.csv"
         assert main([command, "--input", report_inputs[source], "--output", str(out),
-                     "--degree", "5", "--format", "csv"]) == 0
-        M = builder(loader(read_json(Path(report_inputs[source]))), 5)
+                     "--degree", str(degree), "--format", "csv"]) == 0
+        M = builder(loader(read_json(Path(report_inputs[source]))), degree)
         # reference: one entry at a time
         rows = [("row", "col", "re", "im")]
         for i in range(M.entries.shape[0]):
