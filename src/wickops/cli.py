@@ -96,8 +96,8 @@ def _emit(payload, args, csv_lines=None):
     """Write the report; payload always carries the resolved config + version.
 
     JSON reports are the bytes of json.dump(payload, fh, indent=2,
-    sort_keys=True) plus a newline, written by _write_json; CSV reports are
-    a version comment and then csv_lines, one per line.
+    sort_keys=True) plus a newline, arrays taken as lists (_write_json);
+    CSV reports are a version comment and then csv_lines, one per line.
     """
     payload = dict(payload)
     # the output path is where the report goes, not part of what it computes,
@@ -118,15 +118,13 @@ def _emit(payload, args, csv_lines=None):
     return path
 
 
-# The stdlib's C encoder runs only without indent; an indented json.dump
-# encodes token by token in Python.  So _write_json fills each piece of up to
-# _PIECE list items into one indented template, with texts the C encoder
-# spells in one call: the piece's scalars, split on ", " (a piece qualifies
-# only if it holds no string), or a float array's distinct values.  Other
-# pieces are written item by item.  Each value goes out in one write call,
-# joined to the `head` text before it.  The C encoder is built once, as
-# json.JSONEncoder() would build it on every call, but without the
-# circular-reference markers, so no state is carried between calls.
+# The stdlib's C encoder runs only without indent.  So _write_json fills each
+# piece of up to _PIECE list items into one indented template, with texts the
+# C encoder spells in one call: the piece's scalars, split on ", " (a piece
+# qualifies only if it holds no string), or a float array's distinct values.
+# Other pieces go item by item; each value is one write, with the `head` text
+# before it.  The encoder is built once, as json.JSONEncoder() would build it
+# on every call, minus the circular-reference markers: no state is kept.
 _c_encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                             None, ": ", ", ", False, False, True)
 
@@ -234,6 +232,8 @@ def _filled_piece(items, indent):
     # a string, a list or a non-empty dict among the scalars shows as " or [
     if '"' in text or "[" in text:
         return None
+    if layout is None:
+        return ("," + indent).join(text.split(", "))
     return ("," + indent).join([_template(layout, indent)] * len(items)) % tuple(text.split(", "))
 
 
