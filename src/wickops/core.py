@@ -11,6 +11,7 @@ All matrices in the package index rows and columns by this order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -72,8 +73,8 @@ class MultiIndex(tuple):
     """
 
     def __new__(cls, entries):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
+        entries = tuple(map(int, entries))
+        if min(entries, default=0) < 0:
             raise UsageError(f"multi-index entries must be non-negative, got {entries}")
         return super().__new__(cls, entries)
 
@@ -92,17 +93,17 @@ class MultiIndex(tuple):
 
     def dominates(self, other) -> bool:
         """Componentwise self >= other (both derivatives and shifts need this)."""
-        return len(self) == len(other) and all(a >= b for a, b in zip(self, other))
+        return len(self) == len(other) and all(map(operator.ge, self, other))
 
     def __add__(self, other):
         if len(self) != len(other):
             raise UsageError("multi-index dimension mismatch in addition")
-        return MultiIndex(a + b for a, b in zip(self, other))
+        return MultiIndex(map(operator.add, self, other))
 
     def __sub__(self, other):
         if len(self) != len(other):
             raise UsageError("multi-index dimension mismatch in subtraction")
-        return MultiIndex(a - b for a, b in zip(self, other))
+        return MultiIndex(map(operator.sub, self, other))
 
     def __lt__(self, other):
         return grlex_key(self) < grlex_key(other)

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .core import MultiIndex, UsageError, enumerate_basis
+from .core import FOCK, MultiIndex, UsageError, enumerate_basis
 from .symbols import (
     OperatorMatrix,
     WickSymbol,
@@ -184,22 +185,25 @@ def decompose(a: WickSymbol, order: int) -> WickToAntiWickDecomposition:
 
 def decomposition_matrix(decomp: WickToAntiWickDecomposition, n_in: int,
                          include_remainder: bool = True) -> OperatorMatrix:
-    """Signed, weighted matrix sum of the decomposition on a common shape."""
-    pieces = []
-    for term in decomp.main_terms:
-        pieces.append((term.coefficient, antiwick_matrix(term.symbol, n_in)))
+    """Signed, weighted matrix sum of the decomposition on a common shape.
+
+    Both quantizations are linear in the symbol, so the main terms fold into
+    one point symbol for one antiwick_matrix and the remainder terms into one
+    Wick symbol for one wick_matrix; a fold without terms is not built."""
+    groups = [(decomp.main_terms, antiwick_matrix)]
     if include_remainder:
-        for term in decomp.remainder_terms:
-            pieces.append((term.coefficient, wick_matrix(term.symbol, n_in)))
-    if not pieces:
+        groups.append((decomp.remainder_terms, wick_matrix))
+    folds = [(reduce(WickSymbol.plus, [t.symbol.scaled(t.coefficient) for t in terms]), build)
+             for terms, build in groups if terms]
+    if not folds:
         raise UsageError("empty decomposition")
-    n_out = max(M.codomain_degree for _, M in pieces)
-    total = None
-    for coeff, M in pieces:
-        E = M.embedded(n_out)
-        total = E.entries * coeff if total is None else total + coeff * E.entries
-    first = pieces[0][1]
-    return OperatorMatrix(first.dimension, n_in, n_out, first.basis_side, total)
+    pieces = [build(symbol, n_in) for symbol, build in folds if symbol.terms]
+    n_out = max((M.codomain_degree for M in pieces), default=n_in)
+    total = np.zeros((len(enumerate_basis(decomp.dimension, n_out)),
+                      len(enumerate_basis(decomp.dimension, n_in))), dtype=complex)
+    for M in pieces:
+        total[: M.entries.shape[0]] += M.entries
+    return OperatorMatrix(decomp.dimension, n_in, n_out, FOCK, total)
 
 
 def verify_decomposition(a: WickSymbol, order: int, trunc_degree: int) -> float:

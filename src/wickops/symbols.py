@@ -64,6 +64,23 @@ def _falling_multi(alpha: MultiIndex, beta: MultiIndex) -> int:
     return out
 
 
+def _clean_terms(dimension: int, terms) -> dict:
+    """{(alpha, beta): complex} without zero values; keys that are not yet
+    MultiIndex pairs are converted, and every key's length is checked."""
+    clean = {}
+    for (alpha, beta), value in dict(terms).items():
+        if not isinstance(alpha, MultiIndex):
+            alpha = MultiIndex(alpha)
+        if not isinstance(beta, MultiIndex):
+            beta = MultiIndex(beta)
+        if len(alpha) != dimension or len(beta) != dimension:
+            raise UsageError(f"symbol key ({alpha}, {beta}) has wrong length")
+        value = complex(value)
+        if value != 0:
+            clean[(alpha, beta)] = value
+    return clean
+
+
 def _terms_from_json(entries) -> dict:
     return {(json_index(t["alpha"]), json_index(t["beta"])): json_value(t["value"])
             for t in entries}
@@ -82,16 +99,7 @@ class WickSymbol:
             raise UsageError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.point_symbol = bool(point_symbol)
-        clean = {}
-        for (alpha, beta), value in dict(terms).items():
-            alpha = MultiIndex(alpha)
-            beta = MultiIndex(beta)
-            if len(alpha) != self.dimension or len(beta) != self.dimension:
-                raise UsageError(f"symbol key ({alpha}, {beta}) has wrong length")
-            value = complex(value)
-            if value != 0:
-                clean[(alpha, beta)] = value
-        self.terms = clean
+        self.terms = _clean_terms(self.dimension, terms)
 
     @property
     def z_degree(self) -> int:
@@ -195,16 +203,7 @@ class RealSymbol:
             raise UsageError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.quantization = quantization
-        clean = {}
-        for (alpha, beta), value in dict(terms).items():
-            alpha = MultiIndex(alpha)
-            beta = MultiIndex(beta)
-            if len(alpha) != self.dimension or len(beta) != self.dimension:
-                raise UsageError(f"symbol key ({alpha}, {beta}) has wrong length")
-            value = complex(value)
-            if value != 0:
-                clean[(alpha, beta)] = value
-        self.terms = clean
+        self.terms = _clean_terms(self.dimension, terms)
         if real_valued:
             for (alpha, beta), c in self.terms.items():
                 if abs(c.imag) > 1e-14 * max(1.0, abs(c)):
@@ -409,7 +408,8 @@ def _entries(keys, d, n_in, n_out, table):
     total = count.prod(axis=1)
     key = np.repeat(np.arange(len(keys)), total)
     local = np.arange(len(key)) - np.repeat(np.cumsum(total) - total, total)
-    stride = np.c_[np.cumprod(count[:, :0:-1], axis=1)[:, ::-1], np.ones_like(total)]
+    stride = np.ones_like(count)
+    stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
     diag = first[key] + local[:, None] // stride[key] % count[key]
     shift = np.cumsum(shifted[diag][:, ::-1] - n_in, axis=1)[:, ::-1]
     step = max(1, max(math.comb(n_out + d, d) * len(cols) // 4, 2**16) // len(cols))
@@ -435,16 +435,29 @@ def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
     return OperatorMatrix(d, n_in, n_out, side, M)
 
 
+@lru_cache(maxsize=256)
+def _fock_diagonal(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
+    """Factors of _fock_table(p, q, L, antiwick) on its one non-zero
+    diagonal, on the columns g = max(0, q - p) .. min(L, L + q - p) - 1;
+    cached, so read-only."""
+    diag = np.zeros(max(0, min(L, L + q - p) - max(0, q - p)))
+    for i, g in enumerate(range(max(0, q - p), min(L, L + q - p))):
+        top = g + p if antiwick else g
+        if top >= q:
+            diag[i] = _falling(top, q) * math.sqrt(math.factorial(g + p - q) / math.factorial(g))
+    diag.flags.writeable = False
+    return diag
+
+
 def _fock_table(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
     """1-d factor of the term (p, q) in the closed forms of wick_matrix and
     antiwick_matrix: e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q}
-    when top >= q, with top = g (Wick) or g + p (anti-Wick)."""
+    when top >= q, with top = g (Wick) or g + p (anti-Wick); a fresh (L, L)
+    table around the cached diagonal."""
     T = np.zeros((L, L))
-    for g in range(max(0, q - p), min(L, L + q - p)):
-        top = g + p if antiwick else g
-        if top >= q:
-            T[g + p - q, g] = _falling(top, q) * math.sqrt(
-                math.factorial(g + p - q) / math.factorial(g))
+    diag = _fock_diagonal(p, q, L, antiwick)
+    # row-major, the diagonal starts at (max(0, p - q), max(0, q - p)) and steps L + 1
+    T.reshape(-1)[max(0, p - q) * L + max(0, q - p)::L + 1][:len(diag)] = diag
     return T
 
 

@@ -319,6 +319,17 @@ def _repeated(rows, values):
     return rng.choice(np.array(values), size=(rows, 2))
 
 
+def _assert_same_text(got, want):
+    """got == want, failing with the first differing offset in context:
+    pytest's own diff of two long reports takes minutes."""
+    if got == want:
+        return
+    at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+              min(len(got), len(want)))
+    pytest.fail(f"texts of lengths {len(got)} and {len(want)} differ from offset {at}: "
+                f"{got[max(at - 60, 0):at + 60]!r} != {want[max(at - 60, 0):at + 60]!r}")
+
+
 class TestReportWriter:
     """The report writer against the stdlib's indented encoder."""
 
@@ -335,7 +346,7 @@ class TestReportWriter:
     @example([[0.5, 1.5]] * 1100 + [[1, [2]]] + [[2.5]] * 1100)
     @example(list(range(3000)) + [[1.0]])
     def test_matches_indented_json_dump(self, tree):
-        assert _written(tree) == _stdlib_report(tree)
+        _assert_same_text(_written(tree), _stdlib_report(tree))
 
     @given(_ARRAY_TREES)
     @example(np.zeros((0, 2)))
@@ -357,13 +368,7 @@ class TestReportWriter:
     @example([{"index": [0], "value": "a, b"}, {"index": [1], "value": "c"}])
     @example([{"index": (0,), "value": 1.0}, {"index": (1,), "value": 2.0}])
     def test_arrays_and_records_match_indented_json_dump(self, tree):
-        got, want = _written(tree), _stdlib_report(_as_lists(tree))
-        # on failure, the first difference in context: pytest's own diff of
-        # two long reports takes minutes
-        at = next((i for i, pair in enumerate(zip(got, want)) if len(set(pair)) > 1),
-                  min(len(got), len(want)))
-        same = got == want
-        assert same, (got[max(at - 60, 0):at + 60], want[max(at - 60, 0):at + 60])
+        _assert_same_text(_written(tree), _stdlib_report(_as_lists(tree)))
 
     def test_writes_one_piece_at_a_time(self):
         entries = np.arange(6000.0).reshape(3000, 2)
@@ -436,7 +441,7 @@ class TestReportBytes:
         inputs = ["--input", report_inputs[source]] if source else []
         assert main([command, *inputs, "--output", str(out), *options]) == 0
         text = out.read_text()
-        assert text == _stdlib_report(json.loads(text))
+        _assert_same_text(text, _stdlib_report(json.loads(text)))
 
     @pytest.mark.parametrize("command,builder,loader,source,degree", [
         ("wick-matrix", wick_matrix, WickSymbol.from_json_dict, "wick", 5),
@@ -457,7 +462,7 @@ class TestReportBytes:
                 rows.append((i, j, repr(float(v.real)), repr(float(v.imag))))
         want = "# wickops " + wickops.__version__ + "\n"
         want += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
-        assert out.read_text() == want
+        _assert_same_text(out.read_text(), want)
 
 
 class TestOutputDirEnv:

@@ -26,14 +26,34 @@ class TestMultiIndex:
         assert a.factorial() == 12
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(UsageError):
-            MultiIndex((1, -1))
+        for entries in [(1, -1), [1, -1], (-2,)]:
+            with pytest.raises(UsageError):
+                MultiIndex(entries)
 
     def test_componentwise_arithmetic(self):
         assert MultiIndex((2, 1)) + MultiIndex((0, 3)) == (2, 4)
         assert MultiIndex((2, 1)) - MultiIndex((1, 1)) == (1, 0)
-        with pytest.raises(UsageError):
-            MultiIndex((0, 1)) - MultiIndex((1, 0))
+        for a, b in [((0, 1), (1, 0)), ((1,), (2,))]:
+            with pytest.raises(UsageError):
+                MultiIndex(a) - MultiIndex(b)
+        for op in (MultiIndex.__add__, MultiIndex.__sub__):
+            with pytest.raises(UsageError):
+                op(MultiIndex((1, 1)), MultiIndex((1,)))
+            with pytest.raises(UsageError):
+                op(MultiIndex((1,)), (0, 0))
+
+    def test_dominates(self):
+        assert MultiIndex((2, 1)).dominates((2, 0))
+        assert not MultiIndex((2, 1)).dominates((0, 2))
+        assert not MultiIndex((2, 1)).dominates((1,))
+        assert not MultiIndex((2,)).dominates((1, 0))
+
+    def test_entries_become_ints(self):
+        a = MultiIndex((1.0, 2))
+        assert a == (1, 2)
+        assert all(type(e) is int for e in a)
+        assert all(type(e) is int for e in MultiIndex((1, 2)) + MultiIndex((0, 3)))
+        assert MultiIndex(()) == ()
 
     def test_graded_lex_order(self):
         assert MultiIndex((1, 0)) < MultiIndex((0, 1))

@@ -1,13 +1,25 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.core import MultiIndex, UsageError
-from wickops.symbols import WickSymbol, antiwick_matrix, enumerate_symbol_keys, wick_matrix
+from wickops import symbols
+from wickops.core import FOCK, MultiIndex, UsageError
+from wickops.symbols import (
+    WEYL,
+    OperatorMatrix,
+    RealSymbol,
+    WickSymbol,
+    antiwick_matrix,
+    enumerate_symbol_keys,
+    real_to_wick_symbol,
+    wick_matrix,
+)
 from wickops.expansion import (
+    WickToAntiWickDecomposition,
     decompose,
     decomposition_matrix,
     diagonal_derivative_symbol,
@@ -177,6 +189,58 @@ class TestVerifyDecomposition:
             dev = np.max(np.abs(m_low.embedded(n_out).entries
                                 - m_high.embedded(n_out).entries))
             assert dev <= 1e-10
+
+
+def _per_term_matrix(decomp, n_in, include_remainder=True):
+    """The decomposition's matrix term by term: one matrix per term, each
+    embedded into the common codomain and added with its coefficient."""
+    pieces = [(t.coefficient, antiwick_matrix(t.symbol, n_in)) for t in decomp.main_terms]
+    if include_remainder:
+        pieces += [(t.coefficient, wick_matrix(t.symbol, n_in)) for t in decomp.remainder_terms]
+    n_out = max(M.codomain_degree for _, M in pieces)
+    total = sum(c * M.embedded(n_out).entries for c, M in pieces)
+    return OperatorMatrix(decomp.dimension, n_in, n_out, FOCK, total)
+
+
+class TestFoldedDecompositionMatrix:
+    """decomposition_matrix, which folds each group of terms into one symbol
+    and builds one matrix per group, against the per-term sum."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_drawn_symbols(), st.integers(0, 3), st.integers(0, 6), st.booleans())
+    def test_against_per_term_oracle(self, a, order, trunc, include_remainder):
+        decomp = decompose(a, order)
+        got = decomposition_matrix(decomp, trunc, include_remainder)
+        want = _per_term_matrix(decomp, trunc, include_remainder)
+        n_out = max(got.codomain_degree, want.codomain_degree)
+        got, want = got.embedded(n_out).entries, want.embedded(n_out).entries
+        scale = max(np.max(np.abs(got), initial=0.0), np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+    def test_real_quantize_shape_builds_three_matrices(self):
+        # the to-wick symbol of four degree-3 Weyl monomials in d = 2, at the
+        # order and truncation expand-antiwick uses for it
+        b = RealSymbol(2, WEYL, {((2, 0), (1, 0)): 0.7, ((0, 1), (0, 2)): -1.3,
+                                 ((1, 1), (0, 1)): 1.1, ((1, 0), (1, 1)): -0.6})
+        a = real_to_wick_symbol(b)
+        with mock.patch.object(symbols, "_assemble", wraps=symbols._assemble) as assemble:
+            deviation = verify_decomposition(a, 2, 8)
+        assert assemble.call_count <= 3
+        assert deviation <= 1e-12
+
+    def test_empty_decomposition_refused(self):
+        a = WickSymbol(1, {((1,), (1,)): 1.0})
+        with pytest.raises(UsageError, match="empty decomposition"):
+            decomposition_matrix(WickToAntiWickDecomposition(1, 1, [], decompose(a, 1)
+                                                             .remainder_terms), 4,
+                                 include_remainder=False)
+        with pytest.raises(UsageError, match="empty decomposition"):
+            decomposition_matrix(WickToAntiWickDecomposition(1, 1, [], []), 4)
+
+    def test_zero_symbol_gives_the_zero_square_matrix(self):
+        M = decomposition_matrix(decompose(WickSymbol(2, {}), 2), 3)
+        assert (M.domain_degree, M.codomain_degree) == (3, 3)
+        assert M.entries.shape == (10, 10) and not M.entries.any()
 
 
 def _monomials(d, degree):

@@ -2,7 +2,7 @@ import functools
 import math
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -277,6 +277,52 @@ def _loop_matrix(symbol, n_in, antiwick):
                 target.factorial() / g.factorial())
             M[out_index[target], col] += c * weight
     return M
+
+
+def _fock_table_loop(p, q, L, antiwick):
+    """The 1-d Fock factor table entry by entry, by the factorial formula."""
+    T = np.zeros((L, L))
+    for g in range(max(0, q - p), min(L, L + q - p)):
+        top = g + p if antiwick else g
+        if top >= q:
+            T[g + p - q, g] = symbols._falling(top, q) * math.sqrt(
+                math.factorial(g + p - q) / math.factorial(g))
+    return T
+
+
+class TestFockTable:
+    """The tables built around cached diagonals, against the factorial loop."""
+
+    @pytest.mark.parametrize("antiwick", [False, True])
+    def test_bitwise_against_factorial_loop(self, antiwick):
+        for p, q, L in product(range(5), range(5), range(1, 41)):
+            got, want = symbols._fock_table(p, q, L, antiwick), _fock_table_loop(p, q, L, antiwick)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (p, q, L)
+
+    def test_returned_tables_are_fresh(self):
+        first = symbols._fock_table(3, 1, 7, True)
+        want = first.copy()
+        first[...] = 7.0
+        np.testing.assert_array_equal(symbols._fock_table(3, 1, 7, True), want)
+
+
+class TestSymbolKeys:
+    def test_plain_tuple_keys_become_multi_indices(self):
+        plain = {((1, 0), (0, 2)): 1.5, ((0, 0), (1, 1)): -2j}
+        wrapped = {(MultiIndex(a), MultiIndex(b)): c for (a, b), c in plain.items()}
+        for make in (lambda t: WickSymbol(2, t), lambda t: WickSymbol(2, t, point_symbol=True),
+                     lambda t: RealSymbol(2, WEYL, t)):
+            got, want = make(plain).terms, make(wrapped).terms
+            assert got == want
+            assert all(type(k) is MultiIndex for key in got for k in key)
+
+    @pytest.mark.parametrize("key", [((1, -1), (0, 0)), ((1,), (0, 0)), ((1, 0), (0, 0, 0)),
+                                     (MultiIndex((1,)), MultiIndex((0, 0)))])
+    def test_bad_keys_raise(self, key):
+        for make in (WickSymbol, lambda d, terms: RealSymbol(d, WEYL, terms)):
+            with pytest.raises(UsageError):
+                make(2, {key: 1.0})
 
 
 class TestAssemblerAgainstLoops:
