@@ -217,7 +217,7 @@ class TestFoldedDecompositionMatrix:
         scale = max(np.max(np.abs(got), initial=0.0), np.max(np.abs(want), initial=0.0))
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
-    def test_real_quantize_shape_builds_three_matrices(self):
+    def test_real_quantize_shape_makes_at_most_three_builds(self):
         # the to-wick symbol of four degree-3 Weyl monomials in d = 2, at the
         # order and truncation expand-antiwick uses for it
         b = RealSymbol(2, WEYL, {((2, 0), (1, 0)): 0.7, ((0, 1), (0, 2)): -1.3,
