@@ -35,7 +35,6 @@ from .hermite import (  # noqa: F401
     synthesize,
 )
 from .bargmann import (  # noqa: F401
-    FockPoint,
     bargmann_coeff,
     bargmann_integral,
     bargmann_kernel,
@@ -54,7 +53,6 @@ from .symbols import (  # noqa: F401
     shubin_estimate_check,
     symbol_bound_check,
     weyl_matrix,
-    wick_kernel,
     wick_matrix,
 )
 from .expansion import (  # noqa: F401

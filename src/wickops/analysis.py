@@ -11,7 +11,7 @@ Decay families, driven by shell maxima M_k = max{|c_a| : |a| = k}:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +23,6 @@ from .core import (
     FOCK,
     HERMITE,
     CoefficientExpansion,
-    InputDataError,
     UsageError,
     gauss_hermite,
     monomial_table,
@@ -39,31 +37,7 @@ class AccuracyWarning(UserWarning):
     outside the nodes."""
 
 
-@dataclass(frozen=True)
-class FockPoint:
-    """A point z in C^d with the two pairings attached."""
-
-    z: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(complex(c) for c in self.z))
-        if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in self.z):
-            raise UsageError("Fock point components must be finite")
-
-    @property
-    def dimension(self):
-        return len(self.z)
-
-    def bilinear(self, other) -> complex:
-        return bilinear_pairing(self.z, _as_complex_vector(other))
-
-    def sesquilinear(self, other) -> complex:
-        return sesquilinear_pairing(self.z, _as_complex_vector(other))
-
-
 def _as_complex_vector(z) -> np.ndarray:
-    if isinstance(z, FockPoint):
-        return np.asarray(z.z, dtype=complex)
     return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
@@ -74,16 +48,6 @@ def _as_complex_points(z, dimension: int):
     if points.ndim != 2 or points.shape[1] != dimension:
         raise UsageError(f"points of shape {z.shape} do not match dimension {dimension}")
     return points, z.ndim == 1
-
-
-def bilinear_pairing(z, w) -> complex:
-    """<z, w> = sum z_j w_j (no conjugation)."""
-    return complex(np.sum(np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)))
-
-
-def sesquilinear_pairing(z, w) -> complex:
-    """(z, w) = sum z_j conj(w_j)."""
-    return complex(np.sum(np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
 
 
 def bargmann_kernel(z, y):
@@ -188,13 +152,6 @@ def bargmann_coeff(f: CoefficientExpansion) -> CoefficientExpansion:
     return f.with_side(FOCK)
 
 
-def inverse_bargmann_coeff(F: CoefficientExpansion) -> CoefficientExpansion:
-    """Inverse of bargmann_coeff: e_a -> h_a."""
-    if F.side != FOCK:
-        raise UsageError("inverse_bargmann_coeff expects a fock-side expansion")
-    return F.with_side(HERMITE)
-
-
 def evaluate_fock(F: CoefficientExpansion, z):
     """Value sum c_a z^a / sqrt(a!) of a Fock-side expansion; z may be a single
     point (d,), giving a complex, or a batch (n, d), giving an array."""
@@ -252,10 +209,15 @@ def reproducing_quadrature(F: CoefficientExpansion, z,
     """pi^{-1} * integral of F(w) e^{(z,w)} e^{-|w|^2} dlambda(w), d = 1.
 
     Equals F(z) for entire F; exists to catch pairing-convention bugs.  Uses
-    the *sesquilinear* pairing.
+    the *sesquilinear* pairing.  Exact while angular_order > deg F; at the
+    default order the error on e_64 is already 7e-10, so it warns with
+    AccuracyWarning when angular_order <= deg F, as fock_inner_quadrature does.
     """
     if F.side != FOCK or F.dimension != 1:
         raise UsageError("reproducing_quadrature is a d = 1 fock-side oracle")
+    if angular_order <= F.degree_bound:
+        warnings.warn(f"angular order {angular_order} <= degree {F.degree_bound}; "
+                      "result may be inaccurate", AccuracyWarning, stacklevel=2)
     z = complex(_as_complex_vector(z)[0])
     points, weights = gaussian_plane_rule(radial_order, angular_order)
     Fv = evaluate_fock(F, points[:, None])

@@ -27,10 +27,8 @@ from .core import (
     CalculusError,
     CoefficientExpansion,
     InputDataError,
-    MultiIndex,
     NumericalError,
     UsageError,
-    enumerate_basis,
     expansion_inner,
     gauss_hermite,
 )
@@ -42,14 +40,12 @@ from .bargmann import (
     fock_inner_quadrature,
 )
 from .symbols import (
-    BoundReport,
     OperatorMatrix,
     RealSymbol,
     ShubinWeight,
     WickSymbol,
     antiwick_matrix,
     kn_matrix,
-    matrix_apply_at_point,
     pair_grid,
     real_to_wick_symbol,
     shubin_estimate_check,
@@ -454,7 +450,7 @@ def _selftest_cases():
                 F = CoefficientExpansion(1, "fock", {(g,): 1.0})
                 for z in zs:
                     direct = wick_apply_quadrature(a, F, z)
-                    closed = matrix_apply_at_point(M, F, z)
+                    closed = evaluate_fock(M.apply(F), z)
                     worst = max(worst, abs(direct - closed))
             check(f"wick matrix z^{p} wbar^{q} vs integral", worst, 1e-8)
 
@@ -468,7 +464,7 @@ def _selftest_cases():
                 F = CoefficientExpansion(1, "fock", {(g,): 1.0})
                 for z in zs:
                     direct = wick_apply_quadrature(a0, F, z)
-                    closed = matrix_apply_at_point(M, F, z)
+                    closed = evaluate_fock(M.apply(F), z)
                     worst = max(worst, abs(direct - closed))
             check(f"anti-wick matrix w^{p} wbar^{q} vs integral", worst, 1e-8)
 

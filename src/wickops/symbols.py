@@ -12,9 +12,10 @@ where spectra are wanted and are labeled as compressed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .core import (
     json_value,
     monomial_table,
 )
-from .bargmann import gaussian_plane_rule, evaluate_fock, _as_complex_points, _as_complex_vector
+from .bargmann import (AccuracyWarning, gaussian_plane_rule, evaluate_fock, _as_complex_points,
+                       _as_complex_vector)
 from .hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 
 KOHN_NIRENBERG = "kohn_nirenberg"
@@ -64,29 +66,57 @@ def _falling_multi(alpha: MultiIndex, beta: MultiIndex) -> int:
     return out
 
 
-def _clean_terms(dimension: int, terms) -> dict:
-    """{(alpha, beta): complex} without zero values; keys that are not yet
-    MultiIndex pairs are converted, and every key's length is checked."""
-    clean = {}
-    for (alpha, beta), value in dict(terms).items():
-        if not isinstance(alpha, MultiIndex):
-            alpha = MultiIndex(alpha)
-        if not isinstance(beta, MultiIndex):
-            beta = MultiIndex(beta)
-        if len(alpha) != dimension or len(beta) != dimension:
-            raise UsageError(f"symbol key ({alpha}, {beta}) has wrong length")
-        value = complex(value)
-        if value != 0:
-            clean[(alpha, beta)] = value
-    return clean
+class _TermSymbol:
+    """Polynomial symbol sum c(alpha, beta) u^alpha v^beta in two d-tuples of
+    variables, kept as {(alpha, beta): complex} without zero values.  The
+    subclass gives the variables their meaning; its _KINDS maps each JSON
+    "kind" it reads to the constructor keywords of that kind.  A file
+    without "kind" reads as "wick"."""
+
+    def __init__(self, dimension, terms):
+        if dimension < 1:
+            raise UsageError(f"dimension must be >= 1, got {dimension}")
+        self.dimension = int(dimension)
+        self.terms = {}
+        for (alpha, beta), value in dict(terms).items():
+            if not isinstance(alpha, MultiIndex):
+                alpha = MultiIndex(alpha)
+            if not isinstance(beta, MultiIndex):
+                beta = MultiIndex(beta)
+            if len(alpha) != self.dimension or len(beta) != self.dimension:
+                raise UsageError(f"symbol key ({alpha}, {beta}) has wrong length")
+            value = complex(value)
+            if value != 0:
+                self.terms[(alpha, beta)] = value
+
+    @property
+    def total_degree(self) -> int:
+        return max((a.degree() + b.degree() for a, b in self.terms), default=0)
+
+    def to_json_dict(self) -> dict:
+        items = sorted(self.terms.items(), key=lambda kv: (grlex_key(kv[0][0]), grlex_key(kv[0][1])))
+        return {
+            "dimension": self.dimension,
+            "kind": self.kind,
+            "terms": [{"alpha": list(a), "beta": list(b), "value": [c.real, c.imag]}
+                      for (a, b), c in items],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data):
+        try:
+            kind = data.get("kind", "wick")
+            if kind not in cls._KINDS:
+                raise InputDataError(f"{cls.__name__} kind {kind!r} is not one of "
+                                     f"{', '.join(cls._KINDS)}")
+            terms = {(json_index(t["alpha"]), json_index(t["beta"])): json_value(t["value"])
+                     for t in data["terms"]}
+            return cls(int(data["dimension"]), terms=terms, **cls._KINDS[kind])
+        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
+            raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
 
-def _terms_from_json(entries) -> dict:
-    return {(json_index(t["alpha"]), json_index(t["beta"])): json_value(t["value"])
-            for t in entries}
-
-
-class WickSymbol:
+class WickSymbol(_TermSymbol):
     """Polynomial Wick symbol a(z, w) = sum c(alpha, beta) z^alpha conj(w)^beta.
 
     With point_symbol=True the same container holds an anti-Wick point symbol
@@ -94,24 +124,19 @@ class WickSymbol:
     first key slot is then the holomorphic w-exponent.
     """
 
+    _KINDS = {"wick": {"point_symbol": False}, "antiwick": {"point_symbol": True}}
+
     def __init__(self, dimension, terms, point_symbol=False):
-        if dimension < 1:
-            raise UsageError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = int(dimension)
+        super().__init__(dimension, terms)
         self.point_symbol = bool(point_symbol)
-        self.terms = _clean_terms(self.dimension, terms)
+
+    @property
+    def kind(self) -> str:
+        return "antiwick" if self.point_symbol else "wick"
 
     @property
     def z_degree(self) -> int:
         return max((a.degree() for a, _ in self.terms), default=0)
-
-    @property
-    def w_degree(self) -> int:
-        return max((b.degree() for _, b in self.terms), default=0)
-
-    @property
-    def total_degree(self) -> int:
-        return max((a.degree() + b.degree() for a, b in self.terms), default=0)
 
     def evaluate(self, z, w=None):
         """a(z, w); for point symbols call with a single argument a0(w).
@@ -168,42 +193,22 @@ class WickSymbol:
                           {(b, a): np.conj(c) for (a, b), c in self.terms.items()},
                           point_symbol=self.point_symbol)
 
-    def to_json_dict(self) -> dict:
-        kind = "antiwick" if self.point_symbol else "wick"
-        items = sorted(self.terms.items(), key=lambda kv: (grlex_key(kv[0][0]), grlex_key(kv[0][1])))
-        return {
-            "dimension": self.dimension,
-            "kind": kind,
-            "terms": [{"alpha": list(a), "beta": list(b), "value": [c.real, c.imag]}
-                      for (a, b), c in items],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "WickSymbol":
-        try:
-            kind = data.get("kind", "wick")
-            terms = _terms_from_json(data["terms"])
-            return cls(int(data["dimension"]), terms, point_symbol=(kind == "antiwick"))
-        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
-            raise InputDataError(f"malformed symbol JSON: {exc}") from exc
-
     def __repr__(self):
         tag = "point" if self.point_symbol else "wick"
         return f"WickSymbol(d={self.dimension}, {tag}, terms={len(self.terms)})"
 
 
-class RealSymbol:
+class RealSymbol(_TermSymbol):
     """Polynomial real-side symbol b(x, xi) = sum c(alpha, beta) x^alpha xi^beta
     with a quantization tag (Kohn-Nirenberg or Weyl)."""
+
+    _KINDS = {"kn": {"quantization": KOHN_NIRENBERG}, "weyl": {"quantization": WEYL}}
 
     def __init__(self, dimension, quantization, terms, real_valued=False):
         if quantization not in (KOHN_NIRENBERG, WEYL):
             raise UsageError(f"quantization must be '{KOHN_NIRENBERG}' or '{WEYL}'")
-        if dimension < 1:
-            raise UsageError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = int(dimension)
+        super().__init__(dimension, terms)
         self.quantization = quantization
-        self.terms = _clean_terms(self.dimension, terms)
         if real_valued:
             for (alpha, beta), c in self.terms.items():
                 if abs(c.imag) > 1e-14 * max(1.0, abs(c)):
@@ -211,31 +216,8 @@ class RealSymbol:
                         f"symbol flagged real-valued has complex coefficient at ({alpha}, {beta})")
 
     @property
-    def total_degree(self) -> int:
-        return max((a.degree() + b.degree() for a, b in self.terms), default=0)
-
-    def to_json_dict(self) -> dict:
-        kind = "kn" if self.quantization == KOHN_NIRENBERG else "weyl"
-        items = sorted(self.terms.items(), key=lambda kv: (grlex_key(kv[0][0]), grlex_key(kv[0][1])))
-        return {
-            "dimension": self.dimension,
-            "kind": kind,
-            "terms": [{"alpha": list(a), "beta": list(b), "value": [c.real, c.imag]}
-                      for (a, b), c in items],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "RealSymbol":
-        try:
-            kind = data["kind"]
-            quant = KOHN_NIRENBERG if kind == "kn" else WEYL
-            if kind not in ("kn", "weyl"):
-                raise InputDataError(f"unknown real-symbol kind {kind!r}")
-            terms = _terms_from_json(data["terms"])
-            return cls(int(data["dimension"]), quant, terms)
-        except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
-            raise InputDataError(f"malformed symbol JSON: {exc}") from exc
-
+    def kind(self) -> str:
+        return "kn" if self.quantization == KOHN_NIRENBERG else "weyl"
 
 @dataclass
 class OperatorMatrix:
@@ -567,10 +549,6 @@ def weyl_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
     return _real_matrix(b, n_in, WEYL)
 
 
-def quantization_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
-    return kn_matrix(b, n_in) if b.quantization == KOHN_NIRENBERG else weyl_matrix(b, n_in)
-
-
 def enumerate_symbol_keys(d: int, degree: int):
     """All (alpha, beta) with |alpha| + |beta| <= degree, in a fixed graded
     order (split halves of length-2d multi-indices)."""
@@ -598,7 +576,8 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     for key, row, col, factor in _entries(keys, d, n_probe, n_out,
                                           lambda p, q: _fock_table(p, q, n_out + 1, False)):
         A[row * n_cols + col, key] = factor
-    rhs = quantization_matrix(b, n_probe).embedded(n_out).entries.ravel()
+    quantize = kn_matrix if b.quantization == KOHN_NIRENBERG else weyl_matrix
+    rhs = quantize(b, n_probe).embedded(n_out).entries.ravel()
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = np.max(np.abs(A @ coeffs - rhs)) if rhs.size else 0.0
     scale = max(1.0, np.max(np.abs(rhs)) if rhs.size else 0.0)
@@ -613,14 +592,6 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     return WickSymbol(d, terms)
 
 
-def wick_kernel(a: WickSymbol, z, w) -> complex:
-    """Kernel K_a(z, w) = a(z, w) e^{(z,w)} with the sesquilinear pairing."""
-    z = _as_complex_vector(z)
-    w = _as_complex_vector(w)
-    value = a.evaluate(w) if a.point_symbol else a.evaluate(z, w)
-    return complex(value * np.exp(np.sum(z * np.conj(w))))
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracles for the defining integrals (d = 1)
 # ---------------------------------------------------------------------------
@@ -628,23 +599,26 @@ def wick_kernel(a: WickSymbol, z, w) -> complex:
 def wick_apply_quadrature(a: WickSymbol, F: CoefficientExpansion, z,
                           radial_order: int = 60, angular_order: int = 128) -> complex:
     """Direct quadrature of pi^{-1} integral a(z,w) F(w) e^{(z-w,w)} dlambda(w),
-    d = 1.  Independent route used to validate the closed-form matrices."""
+    d = 1.  Independent route used to validate the closed-form matrices.
+
+    The angular rule is exact for Fourier modes below angular_order, and the
+    integrand carries modes up to deg F + deg a; past that the result is
+    silently off (about 1e-11 at F degree 140 with the default order), so
+    it warns with AccuracyWarning when angular_order <= deg F + deg a."""
     if a.dimension != 1 or F.dimension != 1:
         raise UsageError("quadrature oracle is d = 1 only")
     if F.side != FOCK:
         raise UsageError("oracle expects a fock-side expansion")
+    degree = F.degree_bound + a.total_degree
+    if angular_order <= degree:
+        warnings.warn(f"angular order {angular_order} <= combined degree {degree}; "
+                      "result may be inaccurate", AccuracyWarning, stacklevel=2)
     z = _as_complex_vector(z)
     points, weights = gaussian_plane_rule(radial_order, angular_order)
     nodes = points[:, None]
     av = a.evaluate(nodes) if a.point_symbol else a.evaluate(z, nodes)
     Fv = evaluate_fock(F, nodes)
     return complex(np.sum(weights * av * Fv * np.exp(z[0] * np.conj(points))))
-
-
-def matrix_apply_at_point(M: OperatorMatrix, F: CoefficientExpansion, z) -> complex:
-    """Evaluate (M F)(z) through the codomain basis; comparison partner for
-    wick_apply_quadrature."""
-    return evaluate_fock(M.apply(F), z)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +662,12 @@ class BoundReport:
 
 
 def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7):
-    """Cartesian grid of (z, w) pairs in C^d x C^d; desk-scale default.
-    Grids of more than MAX_GRID_PAIRS pairs are refused before allocation."""
+    """Cartesian grid of (z, w) pairs in C^d x C^d as two (n, d) complex
+    arrays z and w, pair i being (z[i], w[i]); desk-scale default.
+
+    z varies slowest, then w; within a point the coordinates in order, and
+    within a coordinate the real part before the imaginary part.  Grids of
+    more than MAX_GRID_PAIRS pairs are refused before allocation."""
     if points_per_axis < 1:
         raise UsageError(f"a grid needs at least 1 point per axis, got {points_per_axis}")
     n_pairs = points_per_axis ** (4 * dimension)
@@ -698,18 +676,12 @@ def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7)
                          f"{dimension} has {n_pairs} (z, w) pairs, over the budget of "
                          f"{MAX_GRID_PAIRS}; use fewer grid points")
     axis = np.linspace(-radius, radius, points_per_axis)
-    singles = [np.array(p, dtype=complex)
-               for p in product(*[[complex(x, y) for x in axis for y in axis]] * dimension)]
-    return [(z, w) for z in singles for w in singles]
-
-
-def _stack_grid(grid):
-    """The (z, w) pairs of a grid as two (n, d) complex arrays."""
-    pairs = np.asarray(list(grid), dtype=complex)
-    if pairs.size == 0:
-        raise UsageError("bound check requires a non-empty grid")
-    pairs = pairs.reshape(len(pairs), 2, -1)
-    return pairs[:, 0], pairs[:, 1]
+    values = np.empty((points_per_axis, points_per_axis), dtype=complex)
+    values.real, values.imag = axis[:, None], axis[None, :]
+    # every choice of one value per coordinate, the first coordinate slowest
+    choice = np.indices((points_per_axis**2,) * dimension).reshape(dimension, -1).T
+    singles = values.ravel()[choice]
+    return np.repeat(singles, len(singles), axis=0), np.tile(singles, (len(singles), 1))
 
 
 def _require_finite(values, what, z, w):
@@ -723,7 +695,8 @@ def _require_finite(values, what, z, w):
 def symbol_bound_check(a: WickSymbol, s: float, r: float, direction: str,
                        grid) -> BoundReport:
     """Grid supremum of |a(z,w)| against the Gaussian-modulated bound
-    e^{1/2 |z-w|^2 -+ r(|z|^{1/s} + |w|^{1/s})}.
+    e^{1/2 |z-w|^2 -+ r(|z|^{1/s} + |w|^{1/s})}, on the pairs of the arrays
+    grid = (z, w), as pair_grid returns them.
 
     direction 'gain' tests the decaying bound (ratio multiplies by
     e^{+r(...)}), 'loss' the growing one (ratio multiplies by e^{-r(...)}).
@@ -734,7 +707,9 @@ def symbol_bound_check(a: WickSymbol, s: float, r: float, direction: str,
         raise UsageError(f"r must be > 0, got {r}")
     if direction not in ("gain", "loss"):
         raise UsageError("direction must be 'gain' or 'loss'")
-    z, w = _stack_grid(grid)
+    z, w = grid
+    if len(z) == 0:
+        raise UsageError("bound check requires a non-empty grid")
     sign = +1.0 if direction == "gain" else -1.0
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = (-0.5 * np.linalg.norm(z - w, axis=1) ** 2
@@ -758,13 +733,16 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
 
     for all derivative orders |alpha + beta| <= max_order and N <= n_decay.
     Derivatives of polynomial symbols are exact (term-wise); omega of a
-    complex argument goes through the R^{2d} realification.
+    complex argument goes through the R^{2d} realification.  grid is the
+    pair of arrays (z, w) of symbol_bound_check.
     """
     if a.point_symbol:
         raise UsageError("Shubin estimates apply to standard Wick symbols")
     if max_order < 0 or n_decay < 0:
         raise UsageError(f"max_order and n_decay must be >= 0, got {max_order} and {n_decay}")
-    z, w = _stack_grid(grid)
+    z, w = grid
+    if len(z) == 0:
+        raise UsageError("bound check requires a non-empty grid")
     with np.errstate(over="ignore"):
         gauss = np.exp(0.5 * np.linalg.norm(z - w, axis=1) ** 2)
     _require_finite(gauss, "the exponential weight", z, w)

@@ -37,7 +37,6 @@ from wickops.symbols import (
     WickSymbol,
     antiwick_matrix,
     kn_matrix,
-    quantization_matrix,
     real_to_wick_symbol,
     weyl_matrix,
     wick_matrix,

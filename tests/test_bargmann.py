@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickops.core import FOCK, HERMITE, CoefficientExpansion, UsageError, expansion_inner
 from wickops.hermite import (
@@ -16,30 +17,13 @@ from wickops.hermite import (
 )
 from wickops.bargmann import (
     AccuracyWarning,
-    FockPoint,
     bargmann_coeff,
     bargmann_integral,
     bargmann_kernel,
-    bilinear_pairing,
     evaluate_fock,
     fock_inner_quadrature,
-    inverse_bargmann_coeff,
     reproducing_quadrature,
-    sesquilinear_pairing,
 )
-
-
-class TestPairings:
-    def test_bilinear_no_conjugation(self):
-        assert bilinear_pairing([1j], [1j]) == pytest.approx(-1.0)
-
-    def test_sesquilinear_conjugates_second(self):
-        assert sesquilinear_pairing([1.0], [1j]) == pytest.approx(-1j)
-
-    def test_fock_point_wraps_both(self):
-        p = FockPoint((1j,))
-        assert p.bilinear([1j]) == pytest.approx(-1.0)
-        assert p.sesquilinear([1j]) == pytest.approx(1.0)
 
 
 class TestBargmannKernel:
@@ -217,7 +201,7 @@ class TestCoefficientTransform:
 
     def test_round_trip_and_side_guards(self):
         f = CoefficientExpansion(1, HERMITE, {(2,): 1.0})
-        assert inverse_bargmann_coeff(bargmann_coeff(f)).coeffs == f.coeffs
+        assert bargmann_coeff(f).with_side(HERMITE).coeffs == f.coeffs
         with pytest.raises(UsageError):
             bargmann_coeff(bargmann_coeff(f))
 
@@ -275,6 +259,22 @@ class TestIsometry:
                 expansion_inner(F, F), abs=1e-8)
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_drawn_coefficient_map_is_an_isometry(self, data):
+        # degrees below 32, so deg f + deg g < 64, the default angular order, and
+        # every radial moment is exact for the 40-point radial rule
+        coeffs = st.dictionaries(st.integers(0, 31).map(lambda k: (k,)),
+                                 st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+                                 max_size=6)
+        f, g = (CoefficientExpansion(1, HERMITE, data.draw(coeffs)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            quadrature = fock_inner_quadrature(bargmann_coeff(f), bargmann_coeff(g))
+        scale = math.sqrt(f.norm_squared() * g.norm_squared())
+        assert abs(quadrature - expansion_inner(f, g)) <= 1e-12 * scale
+
+
 class TestLadderIntertwining:
     def test_creation_becomes_sqrt2_z_multiplication(self):
         rng = np.random.default_rng(31)
@@ -306,3 +306,19 @@ class TestReproducingProperty:
         for z in [0.5 + 0.2j, -1.1 + 0.7j, 1.9j]:
             assert reproducing_quadrature(F, z) == pytest.approx(
                 evaluate_fock(F, [z]), abs=1e-8)
+
+    def test_warns_past_its_angular_order(self):
+        # exact to rounding below the angular order 64; silently off at e_64 and
+        # past it before the warning (7.4e-10 at n = 64, 2.2e-4 at n = 80)
+        zs = [2.0, 3 + 1j, 1.5j, -2.5 + 0.5j]
+        e63 = CoefficientExpansion(1, FOCK, {(63,): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            assert max(abs(reproducing_quadrature(e63, z) - evaluate_fock(e63, [z]))
+                       for z in zs) <= 1e-16
+        for n in (64, 80):
+            with pytest.warns(AccuracyWarning, match=f"angular order 64 <= degree {n}"):
+                reproducing_quadrature(CoefficientExpansion(1, FOCK, {(n,): 1.0}), zs[0])
+        with pytest.warns(AccuracyWarning):
+            reproducing_quadrature(CoefficientExpansion(1, FOCK, {(6,): 1.0}), 1.0,
+                                   angular_order=6)

@@ -567,6 +567,26 @@ class TestErrorExitCodes:
                      *argv[1:]]) == 3
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "input-data"
 
+    @pytest.mark.parametrize("kind,argv", [("weyl", ["wick-matrix"]),
+                                           ("antiwik", ["garding", "--truncations", "4,8"]),
+                                           ("wick", ["weyl-matrix"])])
+    def test_symbol_of_another_kind_is_input_error(self, tmp_path, capsys, kind, argv):
+        # Wick commands once read every kind but "antiwick" as a Wick symbol
+        symbol = {"dimension": 1, "kind": kind,
+                  "terms": [{"alpha": [1], "beta": [1], "value": [1.0, 0.0]}]}
+        inp = write_json(tmp_path / "s.json", symbol)
+        assert main([argv[0], "--input", inp, "--output", str(tmp_path / "o.json"),
+                     *argv[1:]]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "input-data" and repr(kind) in error["message"]
+        assert not (tmp_path / "o.json").exists()
+
+    def test_symbol_without_kind_reads_as_wick(self, tmp_path):
+        inp = write_json(tmp_path / "s.json", {"dimension": 1, "terms": [
+            {"alpha": [1], "beta": [1], "value": [1.0, 0.0]}]})
+        assert main(["wick-matrix", "--input", inp, "--output", str(tmp_path / "o.json"),
+                     "--degree", "2"]) == 0
+
     def test_over_budget_grid_is_refused_at_once(self, tmp_path, capsys):
         a = WickSymbol(2, {((1, 0), (0, 1)): 1.0})
         inp = write_json(tmp_path / "d2.json", a.to_json_dict())

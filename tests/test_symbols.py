@@ -2,26 +2,27 @@ import functools
 import math
 import time
 import tracemalloc
+import warnings
 from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wickops import symbols
-from wickops.bargmann import evaluate_fock
+from wickops.bargmann import AccuracyWarning, evaluate_fock
 from wickops.core import (
     FOCK,
     HERMITE,
     CoefficientExpansion,
     MultiIndex,
-    NumericalError,
     UsageError,
     basis_index_map,
     enumerate_basis,
 )
-from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
+from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder, synthesize
 from wickops.symbols import (
     KOHN_NIRENBERG,
     MAX_MATRIX_ENTRIES,
@@ -34,21 +35,23 @@ from wickops.symbols import (
     enumerate_symbol_keys,
     japanese_bracket,
     kn_matrix,
-    matrix_apply_at_point,
     pair_grid,
-    quantization_matrix,
     real_to_wick_symbol,
     shubin_estimate_check,
     symbol_bound_check,
     weyl_matrix,
     wick_apply_quadrature,
-    wick_kernel,
     wick_matrix,
 )
 
 
 def fock_basis_vector(n):
     return CoefficientExpansion(1, FOCK, {(n,): 1.0})
+
+
+def _quantization_matrix(b, n_in):
+    """The matrix of b in the quantization it is tagged with."""
+    return kn_matrix(b, n_in) if b.quantization == KOHN_NIRENBERG else weyl_matrix(b, n_in)
 
 
 class TestWickMatrix:
@@ -86,7 +89,7 @@ class TestWickMatrix:
             F = fock_basis_vector(g)
             for z in [0.4 + 0.3j, -0.7 - 0.2j]:
                 direct = wick_apply_quadrature(a, F, z)
-                closed = matrix_apply_at_point(M, F, z)
+                closed = evaluate_fock(M.apply(F), z)
                 assert abs(direct - closed) < 1e-8
 
     def test_random_polynomial_symbol_vs_quadrature(self):
@@ -99,7 +102,17 @@ class TestWickMatrix:
             F = fock_basis_vector(g)
             for z in [0.9 + 0.1j, -0.3 + 0.8j]:
                 assert abs(wick_apply_quadrature(a, F, z)
-                           - matrix_apply_at_point(M, F, z)) < 1e-8
+                           - evaluate_fock(M.apply(F), z)) < 1e-8
+
+    @pytest.mark.parametrize("symbol_degree", [0, 3])
+    def test_quadrature_warns_past_its_angular_order(self, symbol_degree):
+        # the default angular order is 128; F degree plus symbol degree must stay below it
+        a = WickSymbol(1, {((0,), (symbol_degree,)): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            wick_apply_quadrature(a, fock_basis_vector(127 - symbol_degree), 2.0)
+        with pytest.warns(AccuracyWarning, match="angular order 128 <= combined degree 128"):
+            wick_apply_quadrature(a, fock_basis_vector(128 - symbol_degree), 2.0)
 
     def test_commutator_sanity(self):
         # Op(z) o Op(conj w) - Op(conj w) o Op(z) = identity on the interior block
@@ -155,7 +168,7 @@ class TestAntiwickMatrix:
             F = fock_basis_vector(g)
             for z in [0.5 - 0.4j, -0.2 + 0.9j]:
                 assert abs(wick_apply_quadrature(a0, F, z)
-                           - matrix_apply_at_point(M, F, z)) < 1e-8
+                           - evaluate_fock(M.apply(F), z)) < 1e-8
 
     def test_positivity_for_squared_modulus_sums(self):
         rng = np.random.default_rng(29)
@@ -562,7 +575,7 @@ class TestWordAverageOracle:
         for alpha, beta in enumerate_symbol_keys(d, 4):
             b = RealSymbol(d, quant, {(alpha, beta): 1.0})
             want = _word_average_matrix(b, 5)
-            got = quantization_matrix(b, 5).entries
+            got = _quantization_matrix(b, 5).entries
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -571,7 +584,7 @@ class TestWordAverageOracle:
         rng = np.random.default_rng(4)
         b = RealSymbol(2, quant, _random_terms(rng, 2, 6, degree=2))
         want = _word_average_matrix(b, 3)
-        assert np.max(np.abs(quantization_matrix(b, 3).entries - want)) <= \
+        assert np.max(np.abs(_quantization_matrix(b, 3).entries - want)) <= \
             1e-12 * np.max(np.abs(want))
 
     def test_x5_xi5_at_degree_16(self):
@@ -619,23 +632,31 @@ class TestRealToWickSymbol:
             b = RealSymbol(d, quant, {(alpha, beta): 1.0})
             a = real_to_wick_symbol(b)
             n = 4
-            target = quantization_matrix(b, n)
+            target = _quantization_matrix(b, n)
             got = wick_matrix(a, n).embedded(target.codomain_degree)
             assert np.max(np.abs(got.entries - target.entries)) <= 1e-12
 
 
-class TestWickKernel:
-    def test_constant_at_origin(self):
-        a = WickSymbol(1, {((0,), (0,)): 1.0})
-        assert wick_kernel(a, [0.0], [0.0]) == pytest.approx(1.0)
+def _pair_tuples(dimension, radius, points_per_axis):
+    """The grid as the list of (z, w) tuples pair_grid once returned: the
+    oracle for the order of its arrays."""
+    axis = np.linspace(-radius, radius, points_per_axis)
+    singles = [np.array(p, dtype=complex)
+               for p in product(*[[complex(x, y) for x in axis for y in axis]] * dimension)]
+    return [(z, w) for z in singles for w in singles]
 
-    def test_sesquilinear_pairing_in_exponent(self):
-        a = WickSymbol(1, {((0,), (0,)): 1.0})
-        assert wick_kernel(a, [1.0], [1j]) == pytest.approx(np.exp(-1j))
 
-    def test_monomial_factor(self):
-        a = WickSymbol(1, {((1,), (1,)): 1.0})
-        assert wick_kernel(a, [1.0], [1.0]) == pytest.approx(math.e)
+class TestPairGrid:
+    @pytest.mark.parametrize("dimension,radius,points_per_axis",
+                             [(1, 4.0, 7), (1, 2.5, 1), (1, 3.0, 4), (2, 4.0, 3), (2, 1.5, 4)])
+    def test_arrays_follow_the_pair_list(self, dimension, radius, points_per_axis):
+        pairs = _pair_tuples(dimension, radius, points_per_axis)
+        z, w = pair_grid(dimension, radius, points_per_axis)
+        assert z.dtype == w.dtype == complex
+        assert z.shape == w.shape == (len(pairs), dimension)
+        # bytes, so that signed zeros count too
+        assert z.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+        assert w.tobytes() == np.array([p[1] for p in pairs]).tobytes()
 
 
 class TestSymbolBoundCheck:
@@ -662,7 +683,7 @@ class TestSymbolBoundCheck:
     def test_empty_grid_rejected(self):
         a = WickSymbol(1, {((0,), (0,)): 1.0})
         with pytest.raises(UsageError):
-            symbol_bound_check(a, 1.0, 1.0, "loss", [])
+            symbol_bound_check(a, 1.0, 1.0, "loss", (np.zeros((0, 1), complex),) * 2)
 
 
 class TestShubinEstimateCheck:
@@ -717,6 +738,11 @@ def _plain_symbol(terms, z, w) -> complex:
                for (alpha, beta), c in terms.items())
 
 
+def _batch_and_rows(f, *batches):
+    """f on whole (n, ...) batches, and f on their rows, one point at a time."""
+    return f(*batches), np.array([f(*row) for row in zip(*batches)])
+
+
 def _random_terms(rng, d, n_terms, degree=3):
     keys = [(tuple(rng.integers(0, degree + 1, size=d)),
              tuple(rng.integers(0, degree + 1, size=d))) for _ in range(n_terms)]
@@ -761,6 +787,35 @@ class TestBatchEvaluation:
         batch = evaluate_fock(F, z)
         assert np.max(np.abs(batch - want)) <= 1e-13 * np.max(np.abs(want))
         np.testing.assert_array_equal(np.array([evaluate_fock(F, zi) for zi in z]), batch)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_drawn_terms(max_d=2, degree=4), st.booleans(), st.floats(-3, 3), st.data())
+    def test_drawn_batches_are_their_rows(self, drawn, point_symbol, t, data):
+        # numpy may round a batch and a single point differently (SIMD loops),
+        # so rows agree to a few ulps of the sum of the absolute term values
+        d, terms = drawn
+        n = data.draw(st.integers(1, 5))
+        z, w = (data.draw(hnp.arrays(complex, (n, d), elements=_VALUES)) for _ in range(2))
+        x = z.real
+        a = WickSymbol(d, terms, point_symbol=point_symbol)
+        a_abs = WickSymbol(d, {k: abs(c) for k, c in terms.items()}, point_symbol=point_symbol)
+        symbol_args = (w,) if point_symbol else (z, w)
+        F = CoefficientExpansion(d, FOCK, {alpha: c for (alpha, _), c in terms.items()})
+        F_abs = CoefficientExpansion(d, FOCK, {k: abs(c) for k, c in F.coeffs.items()})
+        f = F.with_side(HERMITE)
+        weight = ShubinWeight(t)
+        for batch_and_rows, scale in [
+                (_batch_and_rows(a.evaluate, *symbol_args),
+                 a_abs.evaluate(*map(np.abs, symbol_args))),
+                (_batch_and_rows(lambda p: evaluate_fock(F, p), z),
+                 evaluate_fock(F_abs, np.abs(z))),
+                # |h_alpha| <= 1
+                (_batch_and_rows(lambda p: synthesize(f, p), x), sum(map(abs, f.coeffs.values()))),
+                (_batch_and_rows(japanese_bracket, z), japanese_bracket(z)),
+                (_batch_and_rows(weight.omega, x), weight.omega(x))]:
+            batch, rows = batch_and_rows
+            assert batch.shape == (n,)
+            assert np.all(np.abs(rows - batch) <= 1e-14 * np.abs(scale))
 
     def test_point_dimension_mismatch_rejected(self):
         a = WickSymbol(2, {((1, 0), (0, 1)): 1.0})
