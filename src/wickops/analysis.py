@@ -11,7 +11,7 @@ Decay families, driven by shell maxima M_k = max{|c_a| : |a| = k}:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,15 +46,7 @@ class DecayFit:
     inconclusive: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "rate": self.rate,
-            "log_prefactor": self.log_prefactor,
-            "residual": self.residual,
-            "shells_used": self.shells_used,
-            "inconclusive": self.inconclusive,
-        }
+        return asdict(self)
 
 
 def shell_maxima(c: CoefficientExpansion) -> dict:
@@ -164,14 +156,7 @@ class GardingReport:
     grid_points: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "truncation_degrees": list(self.truncation_degrees),
-            "min_real_eigenvalues": list(self.min_real_eigenvalues),
-            "max_imag_norms": list(self.max_imag_norms),
-            "diagonal_min": self.diagonal_min,
-            "stabilized": self.stabilized,
-            "grid_points": self.grid_points,
-        }
+        return asdict(self)
 
 
 def default_diag_grid(dimension: int = 1, radius: float = 4.0,
@@ -216,7 +201,7 @@ def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
         diag_grid = default_diag_grid(a.dimension)
     diag_grid = np.atleast_2d(np.asarray(diag_grid, dtype=complex))
     # graded bases nest and the entries do not depend on the truncation, so
-    # each compressed matrix is a leading block of the largest one
+    # each truncation's square block is a leading block of the largest one
     largest = wick_matrix(a, truncations[-1]).entries
     min_real = []
     max_imag = []
@@ -234,7 +219,10 @@ def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
     diagonal_min = float(np.min(a.diagonal_value(diag_grid).real))
     if len(min_real) >= 2:
         last, prev = min_real[-1], min_real[-2]
-        stabilized = (abs(last - prev) < STABLE_ABS
+        # the absolute floor scales with the symbol (sum |c|), so the flag
+        # does not; <= keeps the zero symbol (floor 0) stabilized
+        floor = STABLE_ABS * sum(abs(c) for c in a.terms.values())
+        stabilized = (abs(last - prev) <= floor
                       or abs(last - prev) < STABLE_REL * max(abs(last), abs(prev)))
     else:
         stabilized = False

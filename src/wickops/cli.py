@@ -68,12 +68,16 @@ EXIT_NUMERICAL = 4
 def _load_json(path) -> dict:
     """The JSON object in an input file; every subcommand reads one."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read input file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"input file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputDataError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputDataError(f"JSON in {path} is nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise InputDataError(f"input in {path} must be a JSON object, got {type(data).__name__}")
     return data
@@ -102,14 +106,18 @@ def _emit(payload, args, csv_lines=None):
                          if k != "output" and v is not None}
     payload["version"] = __version__
     path = _resolve_output(args.output)
-    if getattr(args, "format", "json") == "csv":
-        if csv_lines is None:
-            raise UsageError("this subcommand has no CSV rendering; use --format json")
-        with open(path, "w") as fh:
+    csv = getattr(args, "format", "json") == "csv"
+    if csv and csv_lines is None:
+        raise UsageError("this subcommand has no CSV rendering; use --format json")
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
+    with fh:
+        if csv:
             fh.write("# wickops " + __version__ + "\n")
             fh.writelines(line + "\n" for line in csv_lines)
-    else:
-        with open(path, "w") as fh:
+        else:
             _write_json(fh, payload)
     return path
 
@@ -374,7 +382,7 @@ def cmd_expand_antiwick(args):
     a = WickSymbol.from_json_dict(_load_json(args.input))
     decomp = decompose(a, args.order)
     trunc = args.trunc_degree if args.trunc_degree is not None else max(8, a.total_degree + 2)
-    deviation = verify_decomposition(a, args.order, trunc)
+    deviation = verify_decomposition(a, decomp, trunc)
     return _emit({"result": decomp.to_json_dict(),
                   "verification": {"trunc_degree": trunc, "max_deviation": deviation}},
                  args)

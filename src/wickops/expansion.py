@@ -11,16 +11,9 @@ holds with
     a_al(w)   = d_z^al dbar_w^al a (w, w)
     b_al(z,w) = |al| int_0^1 (1-t)^{|al|-1} d_z^al dbar_w^al a (w+t(z-w), w) dt.
 
-For polynomials everything is computed symbolically: the t-integrals reduce
-to the Beta identity |al| int (1-t)^{|al|-1} t^k dt = k! |al|! / (k+|al|)!,
-so the identity is machine-checkable to round-off.
-
-The substituted first slot w + t(z - w) introduces *holomorphic* w-dependence
-into b_al.  Internally those terms are tracked with triple exponents
-(z, holomorphic w, conj w); since a holomorphic-w factor simply multiplies
-the integrand of the defining integral, the commutation rule [d, z] = 1
-normal-orders the result back into a standard (z, conj w) Wick symbol with
-the same operator, which is what remainder_symbol returns.
+For polynomials everything is computed symbolically.  Each b_al has a
+closed form in the terms of d_z^al dbar_w^al a (see remainder_symbol), so
+the identity is machine-checkable to round-off.
 """
 
 from __future__ import annotations
@@ -33,13 +26,7 @@ from itertools import product
 import numpy as np
 
 from .core import FOCK, MultiIndex, UsageError, enumerate_basis
-from .symbols import (
-    OperatorMatrix,
-    WickSymbol,
-    _falling_multi,
-    antiwick_matrix,
-    wick_matrix,
-)
+from .symbols import OperatorMatrix, WickSymbol, antiwick_matrix, wick_matrix
 
 
 @dataclass(frozen=True)
@@ -80,46 +67,31 @@ class WickToAntiWickDecomposition:
 
 
 def diagonal_derivative_symbol(a: WickSymbol, alpha) -> WickSymbol:
-    """a_al(w) = d_z^al dbar_w^al a (w, w): differentiate term-wise, then set
-    z := w by merging the z-exponent into the holomorphic w-exponent."""
+    """a_al(w) = d_z^al dbar_w^al a (w, w): differentiate term-wise; setting
+    z := w turns each z-exponent into the holomorphic w-exponent, which is
+    the first key slot of a point symbol."""
     if a.point_symbol:
         raise UsageError("diagonal derivatives apply to standard Wick symbols")
-    alpha = MultiIndex(alpha)
-    deriv = a.derivative(alpha, alpha)
-    terms = {}
-    for (p, b), c in deriv.terms.items():
-        key = (p, b)  # z^p -> w^p on the diagonal: holomorphic slot of the point symbol
-        terms[key] = terms.get(key, 0.0) + c
-    return WickSymbol(a.dimension, terms, point_symbol=True)
-
-
-def _beta_weight(k: int, m: int) -> float:
-    """|al| int_0^1 (1-t)^{|al|-1} t^k dt with m = |al| >= 1."""
-    return math.factorial(k) * math.factorial(m) / math.factorial(k + m)
-
-
-def _normal_order(dimension, triple_terms) -> WickSymbol:
-    """Collapse triple-exponent terms z^p w^q conj(w)^r into the standard
-    (z, conj w) form with the same Wick operator, via d^r z^q ordering."""
-    out = {}
-    for (p, q, r), c in triple_terms.items():
-        ranges = [range(min(qj, rj) + 1) for qj, rj in zip(q, r)]
-        for k in product(*ranges):
-            k = MultiIndex(k)
-            factor = 1
-            for kj, qj, rj in zip(k, q, r):
-                factor *= math.comb(rj, kj) * (math.factorial(qj) // math.factorial(qj - kj))
-            key = (p + (q - k), r - k)
-            out[key] = out.get(key, 0.0) + c * factor
-    return WickSymbol(dimension, out)
+    return WickSymbol(a.dimension, a.derivative(alpha, alpha).terms, point_symbol=True)
 
 
 def remainder_symbol(a: WickSymbol, alpha) -> WickSymbol:
-    """b_al as a polynomial Wick symbol (normal-ordered standard form).
+    """b_al as a polynomial Wick symbol in standard (z, conj w) form.
 
-    Term-wise: differentiate, substitute the first slot w + t(z - w) (the
-    conj slot stays w, per the displayed formula), expand in t, and apply
-    the exact Beta identity to each t-power.
+    With m = |al|, a term c' z^A' conj(w)^B' of d_z^al dbar_w^al a gives
+
+        c' sum_{k <= min(A', B')} binom(A', k) binom(B', k) k! m/(m + |k|)
+           z^{A'-k} conj(w)^{B'-k}.
+
+    Derivation: ((1-t)w + tz)^A' = sum_l binom(A', l) t^|l| (1-t)^{|A'-l|}
+    z^l w^{A'-l}.  The holomorphic factor w^{A'-l} multiplies the integrand
+    of the defining integral, so [d, z] = 1 normal-orders w^{A'-l} conj(w)^B'
+    into sum_k binom(B', k) (A'-l)!/(A'-l-k)! z^{A'-l-k} conj(w)^{B'-k}; with
+    z^l in front the power z^{A'-k} no longer depends on l, and
+    binom(A', l) (A'-l)!/(A'-l-k)! = binom(A', k) k! binom(A'-k, l).  The
+    t-integral m int (1-t)^{m-1+|A'-l|} t^|l| dt is a Beta value depending
+    on |l| only; summing binom(A'-k, l) over |l| = j (Vandermonde) and then
+    over j (hockey stick) leaves m/(m + |k|).
     """
     if a.point_symbol:
         raise UsageError("remainder symbols apply to standard Wick symbols")
@@ -127,33 +99,16 @@ def remainder_symbol(a: WickSymbol, alpha) -> WickSymbol:
     m = alpha.degree()
     if m < 1:
         raise UsageError("remainder terms require |alpha| >= 1")
-    d = a.dimension
-    triples = {}
-    for (A, B), c in a.terms.items():
-        if not (A.dominates(alpha) and B.dominates(alpha)):
-            continue
-        dc = c * _falling_multi(A, alpha) * _falling_multi(B, alpha)
-        Ap = A - alpha
-        Bp = B - alpha
-        # (w + t(z-w))^Ap = sum_m binom(Ap,m) t^|m| (z-w)^m w^{Ap-m}
-        m_ranges = [range(aj + 1) for aj in Ap]
-        for mm in product(*m_ranges):
-            mm = MultiIndex(mm)
-            binom_m = 1
-            for aj, mj in zip(Ap, mm):
-                binom_m *= math.comb(aj, mj)
-            weight = _beta_weight(mm.degree(), m)
-            # (z-w)^m = sum_{l <= m} binom(m,l) z^l (-w)^{m-l}
-            l_ranges = [range(mj + 1) for mj in mm]
-            for ll in product(*l_ranges):
-                ll = MultiIndex(ll)
-                binom_l = 1
-                for mj, lj in zip(mm, ll):
-                    binom_l *= math.comb(mj, lj)
-                sign = (-1) ** (mm.degree() - ll.degree())
-                key = (ll, Ap - ll, Bp)
-                triples[key] = triples.get(key, 0.0) + dc * binom_m * binom_l * sign * weight
-    return _normal_order(d, triples)
+    out = {}
+    for (A, B), c in a.derivative(alpha, alpha).terms.items():
+        for k in product(*(range(min(aj, bj) + 1) for aj, bj in zip(A, B))):
+            k = MultiIndex(k)
+            count = 1
+            for aj, bj, kj in zip(A, B, k):
+                count *= math.comb(aj, kj) * math.comb(bj, kj) * math.factorial(kj)
+            key = (A - k, B - k)
+            out[key] = out.get(key, 0.0) + c * (count * m / (m + k.degree()))
+    return WickSymbol(a.dimension, out)
 
 
 def decompose(a: WickSymbol, order: int) -> WickToAntiWickDecomposition:
@@ -183,16 +138,13 @@ def decompose(a: WickSymbol, order: int) -> WickToAntiWickDecomposition:
                                        order_zero_extension=(order == 0))
 
 
-def decomposition_matrix(decomp: WickToAntiWickDecomposition, n_in: int,
-                         include_remainder: bool = True) -> OperatorMatrix:
+def decomposition_matrix(decomp: WickToAntiWickDecomposition, n_in: int) -> OperatorMatrix:
     """Signed, weighted matrix sum of the decomposition on a common shape.
 
     Both quantizations are linear in the symbol, so the main terms fold into
     one point symbol for one antiwick_matrix and the remainder terms into one
     Wick symbol for one wick_matrix; a fold without terms is not built."""
-    groups = [(decomp.main_terms, antiwick_matrix)]
-    if include_remainder:
-        groups.append((decomp.remainder_terms, wick_matrix))
+    groups = [(decomp.main_terms, antiwick_matrix), (decomp.remainder_terms, wick_matrix)]
     folds = [(reduce(WickSymbol.plus, [t.symbol.scaled(t.coefficient) for t in terms]), build)
              for terms, build in groups if terms]
     if not folds:
@@ -206,11 +158,12 @@ def decomposition_matrix(decomp: WickToAntiWickDecomposition, n_in: int,
     return OperatorMatrix(decomp.dimension, n_in, n_out, FOCK, total)
 
 
-def verify_decomposition(a: WickSymbol, order: int, trunc_degree: int) -> float:
-    """Max entrywise deviation between wick_matrix(a) and its decomposition,
-    on a common rectangular shape spanning degrees <= trunc_degree."""
+def verify_decomposition(a: WickSymbol, decomp: WickToAntiWickDecomposition,
+                         trunc_degree: int) -> float:
+    """Max entrywise deviation between wick_matrix(a) and the matrix of its
+    decomposition decomp, on a common rectangular shape spanning degrees
+    <= trunc_degree."""
     lhs = wick_matrix(a, trunc_degree)
-    decomp = decompose(a, order)
     rhs = decomposition_matrix(decomp, trunc_degree)
     n_out = max(lhs.codomain_degree, rhs.codomain_degree)
     diff = lhs.embedded(n_out).entries - rhs.embedded(n_out).entries

@@ -5,8 +5,8 @@ grid-based symbol-class bound checkers.
 Matrix conventions: operators are stored as rectangular matrices mapping
 span{basis of degree <= N_in} into span{degree <= N_out}, with N_out chosen
 so that polynomial operators are represented *exactly* (no truncation
-error).  Square compressions to the degree <= N_in block are only taken
-where spectra are wanted and are labeled as compressed.
+error).  Square degree <= N_in blocks are sliced from the entries only where
+spectra are wanted (analysis.garding_check).
 """
 
 from __future__ import annotations
@@ -232,7 +232,6 @@ class OperatorMatrix:
     codomain_degree: int
     basis_side: str
     entries: np.ndarray
-    compressed_from: int | None = None
 
     def __post_init__(self):
         n_in = len(enumerate_basis(self.dimension, self.domain_degree))
@@ -251,13 +250,6 @@ class OperatorMatrix:
         padded[: self.entries.shape[0], :] = self.entries
         return OperatorMatrix(self.dimension, self.domain_degree, codomain_degree,
                               self.basis_side, padded)
-
-    def compressed(self) -> "OperatorMatrix":
-        """Square block on degrees <= domain_degree (truncation artifacts possible)."""
-        n = len(enumerate_basis(self.dimension, self.domain_degree))
-        return OperatorMatrix(self.dimension, self.domain_degree, self.domain_degree,
-                              self.basis_side, self.entries[:n, :n].copy(),
-                              compressed_from=self.codomain_degree)
 
     def apply(self, f: CoefficientExpansion) -> CoefficientExpansion:
         if f.side != self.basis_side or f.dimension != self.dimension:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError
+from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError, enumerate_basis
 from wickops.hermite import norm_growth_probe
 from wickops.symbols import WickSymbol, wick_matrix
 from wickops.analysis import (
@@ -108,6 +108,18 @@ class TestGardingCheck:
         for b, s in zip(base.max_imag_norms, scaled.max_imag_norms):
             assert s == pytest.approx(2.5 * b, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-8])
+    def test_stabilized_flag_does_not_depend_on_scale(self, c):
+        # -c N has minima -8c and -16c: no plateau at any scale
+        report = garding_check(WickSymbol(1, {((1,), (1,)): -c}), [8, 16])
+        assert report.min_real_eigenvalues == pytest.approx([-8 * c, -16 * c])
+        assert not report.stabilized
+
+    def test_zero_symbol_is_stabilized(self):
+        report = garding_check(WickSymbol(1, {}), [8, 16])
+        assert report.min_real_eigenvalues == [0.0, 0.0]
+        assert report.stabilized
+
     def test_diagonal_symbol_truncation_independent(self):
         a = WickSymbol(1, {((1,), (1,)): 3.0, ((0,), (0,)): -0.5})
         report = garding_check(a, [4, 8, 16])
@@ -122,7 +134,8 @@ class TestGardingCheck:
         report = garding_check(a, truncations)
         for n, got_min, got_imag in zip(truncations, report.min_real_eigenvalues,
                                         report.max_imag_norms):
-            M = wick_matrix(a, n).compressed().entries
+            size = len(enumerate_basis(d, n))
+            M = wick_matrix(a, n).entries[:size, :size]
             herm = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
             skew = np.linalg.eigvalsh((M - M.conj().T) / 2j)
             assert got_min == pytest.approx(np.min(herm), abs=1e-12)

@@ -15,13 +15,19 @@ SPEC = {"end_to_end": [{"name": "jobs_per_s", "better": "higher"},
         "per_layer": [{"name": "hermite.samples", "better": "lower"}]}
 
 
-def _record(path, seed, values, trace=0, seconds=35, sha="aaa"):
+def _record(path, seed, values, trace=0, seconds=35, sha="aaa", wall=None):
+    """A run record as bench/run.py writes it; an untraced one carries plain
+    wall-time figures, by default a fixed set."""
     units = {"jobs_per_s": "1/s", "job_ms.p50": "ms", "ok_frac": "frac",
              "hermite.samples": "count"}
-    path.write_text(json.dumps({
+    record = {
         "workload": "coeff-transform", "seed": seed, "seconds": seconds, "trace": trace,
         "env": {"git_sha": sha},
-        "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}))
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+    if not trace:
+        record["wall"] = wall or {"jobs_per_s": 50.0, "job_ms.p50": 20.0, "setup_s": 0.25,
+                                  "speed_factor.p50": 1.0}
+    path.write_text(json.dumps(record))
     return str(path)
 
 
@@ -45,6 +51,11 @@ def test_two_records(tmp_path):
     # a lower time wins; a tie counts for neither side
     assert run["metrics"]["job_ms.p50"]["change_wins"] == 1
     assert run["metrics"]["ok_frac"]["change_wins"] == 0
+    # the plain wall-time figures, compared the same way
+    assert run["wall"]["job_ms.p50"] == {
+        "better": "lower", "change_wins": 0,
+        "parent": {"median": 20.0, "q1": 20.0, "q3": 20.0},
+        "change": {"median": 20.0, "q1": 20.0, "q3": 20.0}}
 
 
 def test_pairs_by_seed_and_splits_traced_runs(tmp_path):
@@ -61,6 +72,26 @@ def test_pairs_by_seed_and_splits_traced_runs(tmp_path):
     assert jobs["change_wins"] == 4
     samples = out["per_layer"]["coeff-transform"]["metrics"]["hermite.samples"]
     assert samples["change_wins"] == 1 and samples["change"]["median"] == 0.0
+    assert "wall" not in out["per_layer"]["coeff-transform"]
+
+
+def test_wall_figures_beside_the_rescaled_metrics(tmp_path):
+    walls = [(0.20, 0.30), (0.25, 0.21), (0.30, 0.29)]  # (parent, change) setup_s
+    parents, changes = [], []
+    for seed, (p, c) in enumerate(walls, 1):
+        parents.append(_record(tmp_path / f"p{seed}.json", seed, {"jobs_per_s": 1.0},
+                               wall={"setup_s": p, "speed_factor.p50": 1.0 + seed}))
+        changes.append(_record(tmp_path / f"c{seed}.json", seed, {"jobs_per_s": 1.0},
+                               wall={"setup_s": c, "speed_factor.p50": 1.1}))
+    spec = {**SPEC, "end_to_end": SPEC["end_to_end"] + [{"name": "setup_s", "better": "lower"}]}
+    wall = bench_record.build_record(parents, changes, "x", spec)["end_to_end"][
+        "coeff-transform"]["wall"]
+    assert wall["setup_s"]["parent"] == {"median": 0.25, "q1": 0.2, "q3": 0.3}
+    assert wall["setup_s"]["change"]["median"] == 0.29
+    assert (wall["setup_s"]["better"], wall["setup_s"]["change_wins"]) == ("lower", 2)
+    # a figure without a direction gets quartiles only
+    assert set(wall["speed_factor.p50"]) == {"parent", "change"}
+    assert wall["speed_factor.p50"]["parent"]["median"] == 3.0
 
 
 @pytest.mark.parametrize("change_seed,seconds,match", [(8, 35, "do not pair"),

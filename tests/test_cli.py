@@ -18,9 +18,11 @@ from hypothesis.extra import numpy as hnp
 
 import wickops
 import wickops.cli
+import wickops.expansion
 from wickops.bargmann import AccuracyWarning, bargmann_coeff, bargmann_integral, evaluate_fock
 from wickops.cli import _write_json, main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
+from wickops.expansion import decompose
 from wickops.hermite import synthesize
 from wickops.symbols import (MAX_MATRIX_ENTRIES, OperatorMatrix, RealSymbol, WickSymbol,
                              real_to_wick_symbol, weyl_matrix, wick_matrix)
@@ -161,6 +163,21 @@ class TestExpandAntiwick:
                      "--output", str(out), "--order", "1"]) == 0
         report = read_json(out)
         assert report["verification"]["max_deviation"] <= 1e-10
+
+
+    def test_decomposes_once(self, tmp_path, oscillator_wick, monkeypatch):
+        # the reported decomposition is the one verified: one decompose call
+        calls = []
+
+        def counted(a, order):
+            calls.append(order)
+            return decompose(a, order)
+
+        monkeypatch.setattr(wickops.cli, "decompose", counted)
+        monkeypatch.setattr(wickops.expansion, "decompose", counted)
+        assert main(["expand-antiwick", "--input", oscillator_wick,
+                     "--output", str(tmp_path / "out.json"), "--order", "2"]) == 0
+        assert calls == [2]
 
 
 class TestGarding:
@@ -484,6 +501,38 @@ class TestErrorExitCodes:
         bad.write_text("{not json")
         assert main(["classify", "--input", str(bad),
                      "--output", str(tmp_path / "o.json")]) == 3
+
+    @staticmethod
+    def _error(capsys, kind):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == kind
+        return json.loads(lines[0])["error"]["message"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_in_a_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                          oscillator_wick, fmt):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["garding", "--input", oscillator_wick, "--output", str(out),
+                     "--truncations", "2,4", "--format", fmt]) == 2
+        assert "cannot write output file" in self._error(capsys, "usage")
+        assert not out.parent.exists()
+
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_bytes(b'{"dimension": 1, "expression": "x0 \xff"}')
+        assert main(["hermite-coeffs", "--input", str(inp),
+                     "--output", str(tmp_path / "o.json")]) == 3
+        assert "not UTF-8" in self._error(capsys, "input-data")
+
+    def test_over_deep_input_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["classify", "--input", str(inp),
+                     "--output", str(tmp_path / "o.json")]) == 3
+        assert "nested too deeply" in self._error(capsys, "input-data")
 
     def test_csv_unsupported_is_usage_error(self, tmp_path):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wickops import symbols
-from wickops.core import FOCK, MultiIndex, UsageError
+from wickops.core import FOCK, MultiIndex, UsageError, enumerate_basis
 from wickops.symbols import (
     WEYL,
     OperatorMatrix,
@@ -69,12 +70,63 @@ class TestRemainderSymbol:
         b = remainder_symbol(a, (1,))
         assert b.terms == {((1,), (0,)): pytest.approx(2.0)}
 
-    def test_beta_weights_at_order_two(self):
-        # weight 2 int (1-t) t^k dt = 2/((k+1)(k+2))
-        from wickops.expansion import _beta_weight
+    def test_zsquared_conjwsquared_at_first_order(self):
+        # derivative 4 z conj(w); k = 0 keeps it, k = 1 adds 4 * 1/2
+        a = WickSymbol(1, {((2,), (2,)): 1.0})
+        b = remainder_symbol(a, (1,))
+        assert b.terms == {((1,), (1,)): pytest.approx(4.0), ((0,), (0,)): pytest.approx(2.0)}
 
-        for k in range(5):
-            assert _beta_weight(k, 2) == pytest.approx(2.0 / ((k + 1) * (k + 2)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_closed_form_against_substitution_route(self, data):
+        # z- and conj(w)-degrees up to 5 each; most exponents dominate alpha,
+        # so the derivative keeps terms
+        d = data.draw(st.integers(1, 3))
+        alpha = data.draw(st.sampled_from([al for al in enumerate_basis(d, 4) if al.degree() >= 1]))
+        slot = st.one_of(st.sampled_from(enumerate_basis(d, 5 - alpha.degree())).map(alpha.__add__),
+                         st.sampled_from(enumerate_basis(d, 5)))
+        keys = data.draw(st.lists(st.tuples(slot, slot), min_size=1, max_size=6, unique=True))
+        a = WickSymbol(d, {key: data.draw(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)))
+                           for key in keys})
+        got = remainder_symbol(a, alpha).terms
+        want = _substitution_remainder(a, alpha)
+        scale = max(abs(c) for c in want.values()) if want else 0.0
+        assert set(got) <= set(want)
+        for key, c in want.items():
+            assert abs(got.get(key, 0.0) - c) <= 1e-13 * scale
+
+
+def _substitution_remainder(a, alpha):
+    """b_alpha by the defining integral, term by term: substitute the first
+    slot w + t(z - w), expand in t, integrate each t-power by the Beta value
+    |al| int (1-t)^{|al|-1} t^k dt = k! |al|! / (k + |al|)!, and normal-order
+    the holomorphic w-factors z^p w^q conj(w)^r by [d, z] = 1."""
+    alpha = MultiIndex(alpha)
+    m = alpha.degree()
+    triples = {}
+    for (A, B), c in a.derivative(alpha, alpha).terms.items():
+        # (w + t(z-w))^A = sum_j binom(A,j) t^|j| (z-w)^j w^{A-j}
+        for j in product(*(range(aj + 1) for aj in A)):
+            j = MultiIndex(j)
+            weight = math.factorial(j.degree()) * math.factorial(m) / math.factorial(j.degree() + m)
+            weight *= math.prod(math.comb(aj, jj) for aj, jj in zip(A, j))
+            # (z-w)^j = sum_{l <= j} binom(j,l) z^l (-w)^{j-l}
+            for l in product(*(range(jj + 1) for jj in j)):
+                l = MultiIndex(l)
+                sign = (-1) ** (j.degree() - l.degree())
+                binom = math.prod(math.comb(jj, lj) for jj, lj in zip(j, l))
+                key = (l, A - l, B)
+                triples[key] = triples.get(key, 0.0) + c * weight * binom * sign
+    out = {}
+    for (p, q, r), c in triples.items():
+        # d^r z^q = sum_k binom(r,k) q!/(q-k)! z^{q-k} d^{r-k}
+        for k in product(*(range(min(qj, rj) + 1) for qj, rj in zip(q, r))):
+            k = MultiIndex(k)
+            factor = math.prod(math.comb(rj, kj) * math.perm(qj, kj)
+                               for qj, rj, kj in zip(q, r, k))
+            key = (p + (q - k), r - k)
+            out[key] = out.get(key, 0.0) + c * factor
+    return out
 
 
 class TestDecompose:
@@ -105,7 +157,7 @@ class TestDecompose:
         assert by_alpha[(2,)].symbol.terms == {((0,), (0,)): pytest.approx(4.0)}
         assert by_alpha[(2,)].alpha_factorial == 2
         assert all(not t.symbol.terms for t in decomp.remainder_terms)
-        assert verify_decomposition(a, 2, 8) <= 1e-10
+        assert verify_decomposition(a, decomp, 8) <= 1e-10
 
     def test_order_zero_extension_flagged(self):
         a = WickSymbol(1, {((1,), (1,)): 1.0})
@@ -126,16 +178,16 @@ def _drawn_symbols(draw):
 class TestVerifyDecomposition:
     def test_bilinear_symbol_exact(self):
         a = WickSymbol(1, {((1,), (1,)): 1.0})
-        assert verify_decomposition(a, 1, 8) <= 1e-12
+        assert verify_decomposition(a, decompose(a, 1), 8) <= 1e-12
 
     def test_constant_symbol_exact(self):
         a = WickSymbol(1, {((0,), (0,)): 1.0})
         for order in [1, 2, 3]:
-            assert verify_decomposition(a, order, 6) == 0.0
+            assert verify_decomposition(a, decompose(a, order), 6) == 0.0
 
     def test_remainder_active_regime(self):
         a = WickSymbol(1, {((2,), (2,)): 1.0})
-        assert verify_decomposition(a, 1, 8) <= 1e-10
+        assert verify_decomposition(a, decompose(a, 1), 8) <= 1e-10
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_monomials_remainder_free(self, d):
@@ -150,13 +202,29 @@ class TestVerifyDecomposition:
                     decomp = decompose(a, order)
                     assert all(not t.symbol.terms for t in decomp.remainder_terms)
                     trunc = 5 if d == 2 else 8
-                    assert verify_decomposition(a, order, trunc) <= 1e-10
+                    assert verify_decomposition(a, decomp, trunc) <= 1e-10
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_drawn_symbols(), st.integers(0, 3), st.integers(0, 6))
     def test_identity_at_drawn_orders_and_truncations(self, a, order, trunc):
         scale = max(1.0, np.max(np.abs(wick_matrix(a, trunc).entries), initial=0.0))
-        assert verify_decomposition(a, order, trunc) <= 1e-12 * scale
+        assert verify_decomposition(a, decompose(a, order), trunc) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d,order", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_identity_with_normal_ordered_remainders(self, d, order):
+        # a remainder term with k >= 1 in the closed form needs z- and
+        # conj(w)-degrees above |alpha| = order + 1, so degree >= 2 order + 4
+        rng = np.random.default_rng(23 + 10 * d + order)
+        keys = [key for key in enumerate_symbol_keys(d, 2 * order + 4)
+                if key[0].degree() > order + 1 and key[1].degree() > order + 1]
+        a = WickSymbol(d, {key: complex(*rng.standard_normal(2)) for key in keys})
+        decomp = decompose(a, order)
+        # the k >= 1 terms lower both degrees, below what the derivative keeps
+        assert any(p.degree() + q.degree() < a.total_degree - 2 * (order + 1)
+                   for t in decomp.remainder_terms for p, q in t.symbol.terms)
+        trunc = 6 if d == 2 else 10
+        scale = np.max(np.abs(wick_matrix(a, trunc).entries))
+        assert verify_decomposition(a, decomp, trunc) <= 1e-12 * scale
 
     def test_remainder_necessity(self):
         # dropping an active remainder breaks the identity; keeping it restores it
@@ -165,7 +233,7 @@ class TestVerifyDecomposition:
         assert any(t.symbol.terms for t in decomp.remainder_terms)
         lhs = wick_matrix(a, 8)
         rhs_full = decomposition_matrix(decomp, 8)
-        rhs_dropped = decomposition_matrix(decomp, 8, include_remainder=False)
+        rhs_dropped = decomposition_matrix(replace(decomp, remainder_terms=[]), 8)
         n_out = max(lhs.codomain_degree, rhs_full.codomain_degree,
                     rhs_dropped.codomain_degree)
         full_dev = np.max(np.abs(lhs.embedded(n_out).entries
@@ -191,12 +259,11 @@ class TestVerifyDecomposition:
             assert dev <= 1e-10
 
 
-def _per_term_matrix(decomp, n_in, include_remainder=True):
+def _per_term_matrix(decomp, n_in):
     """The decomposition's matrix term by term: one matrix per term, each
     embedded into the common codomain and added with its coefficient."""
     pieces = [(t.coefficient, antiwick_matrix(t.symbol, n_in)) for t in decomp.main_terms]
-    if include_remainder:
-        pieces += [(t.coefficient, wick_matrix(t.symbol, n_in)) for t in decomp.remainder_terms]
+    pieces += [(t.coefficient, wick_matrix(t.symbol, n_in)) for t in decomp.remainder_terms]
     n_out = max(M.codomain_degree for _, M in pieces)
     total = sum(c * M.embedded(n_out).entries for c, M in pieces)
     return OperatorMatrix(decomp.dimension, n_in, n_out, FOCK, total)
@@ -210,8 +277,10 @@ class TestFoldedDecompositionMatrix:
     @given(_drawn_symbols(), st.integers(0, 3), st.integers(0, 6), st.booleans())
     def test_against_per_term_oracle(self, a, order, trunc, include_remainder):
         decomp = decompose(a, order)
-        got = decomposition_matrix(decomp, trunc, include_remainder)
-        want = _per_term_matrix(decomp, trunc, include_remainder)
+        if not include_remainder:
+            decomp = replace(decomp, remainder_terms=[])
+        got = decomposition_matrix(decomp, trunc)
+        want = _per_term_matrix(decomp, trunc)
         n_out = max(got.codomain_degree, want.codomain_degree)
         got, want = got.embedded(n_out).entries, want.embedded(n_out).entries
         scale = max(np.max(np.abs(got), initial=0.0), np.max(np.abs(want), initial=0.0))
@@ -224,16 +293,11 @@ class TestFoldedDecompositionMatrix:
                                  ((1, 1), (0, 1)): 1.1, ((1, 0), (1, 1)): -0.6})
         a = real_to_wick_symbol(b)
         with mock.patch.object(symbols, "_assemble", wraps=symbols._assemble) as assemble:
-            deviation = verify_decomposition(a, 2, 8)
+            deviation = verify_decomposition(a, decompose(a, 2), 8)
         assert assemble.call_count <= 3
         assert deviation <= 1e-12
 
     def test_empty_decomposition_refused(self):
-        a = WickSymbol(1, {((1,), (1,)): 1.0})
-        with pytest.raises(UsageError, match="empty decomposition"):
-            decomposition_matrix(WickToAntiWickDecomposition(1, 1, [], decompose(a, 1)
-                                                             .remainder_terms), 4,
-                                 include_remainder=False)
         with pytest.raises(UsageError, match="empty decomposition"):
             decomposition_matrix(WickToAntiWickDecomposition(1, 1, [], []), 4)
 
@@ -244,8 +308,6 @@ class TestFoldedDecompositionMatrix:
 
 
 def _monomials(d, degree):
-    from wickops.core import enumerate_basis
-
     return [a for a in enumerate_basis(d, degree) if a.degree() == degree]
 
 
@@ -256,8 +318,8 @@ class TestMixedSymbolPipeline:
                  for p in range(3) for q in range(3)}
         a = WickSymbol(1, terms)
         for order in [1, 2, 3]:
-            assert verify_decomposition(a, order, 8) <= 1e-9
+            assert verify_decomposition(a, decompose(a, order), 8) <= 1e-9
 
     def test_two_dimensional_cross_terms(self):
         a = WickSymbol(2, {((1, 1), (1, 0)): 1.0, ((0, 1), (1, 1)): 0.5j})
-        assert verify_decomposition(a, 2, 5) <= 1e-10
+        assert verify_decomposition(a, decompose(a, 2), 5) <= 1e-10

@@ -11,8 +11,12 @@ trace flag and seed.  For each workload and metric the file holds both
 sides' medians and quartiles, the paired seeds and the number of pairs the
 change won: strictly better in the direction ``BENCHMARK.json`` gives for
 the metric, ties counting for neither side.  Untraced runs go under
-``end_to_end``, traced ones under ``per_layer``.  The file is written to the
-repository root.
+``end_to_end``, traced ones under ``per_layer``.  Beside its metrics, which
+``bench/run.py`` rescales to a reference host speed, each untraced workload
+carries the same comparison of the records' plain wall-time figures (their
+``wall`` field, ``setup_s`` included) under ``wall``; a figure
+``BENCHMARK.json`` gives no direction for, such as ``speed_factor.p50``, has
+quartiles only.  The file is written to the repository root.
 """
 
 import argparse
@@ -31,6 +35,17 @@ def quartiles(values) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def _compare(a, b, better) -> dict:
+    """Both sides' quartiles and, for a metric with a direction, the number
+    of pairs the change won."""
+    out = {"parent": quartiles(a), "change": quartiles(b)}
+    if better is not None:
+        sign = 1 if better == "higher" else -1
+        out["better"] = better
+        out["change_wins"] = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    return out
 
 
 def _load(paths) -> dict:
@@ -74,14 +89,15 @@ def build_record(parent_paths, change_paths, label, spec) -> dict:
         for name, first in before[seeds[0]]["metrics"].items():
             a = [before[s]["metrics"][name]["value"] for s in seeds]
             b = [after[s]["metrics"][name]["value"] for s in seeds]
-            sign = 1 if better[name] == "higher" else -1
-            metrics[name] = {
-                "unit": first["unit"], "better": better[name],
-                "parent": quartiles(a), "change": quartiles(b),
-                "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
-            }
-        out["per_layer" if trace else "end_to_end"][workload] = {
-            "seconds": lengths.pop(), "seeds": seeds, "pairs": len(seeds), "metrics": metrics}
+            metrics[name] = {"unit": first["unit"], **_compare(a, b, better[name])}
+        entry = {"seconds": lengths.pop(), "seeds": seeds, "pairs": len(seeds),
+                 "metrics": metrics}
+        if not trace:
+            entry["wall"] = {name: _compare([before[s]["wall"][name] for s in seeds],
+                                            [after[s]["wall"][name] for s in seeds],
+                                            better.get(name))
+                             for name in before[seeds[0]]["wall"]}
+        out["per_layer" if trace else "end_to_end"][workload] = entry
     return out
 
 
