@@ -164,7 +164,6 @@ class TestExpandAntiwick:
         report = read_json(out)
         assert report["verification"]["max_deviation"] <= 1e-10
 
-
     def test_decomposes_once(self, tmp_path, oscillator_wick, monkeypatch):
         # the reported decomposition is the one verified: one decompose call
         calls = []
@@ -508,8 +507,9 @@ class TestErrorExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["kind"] == kind
-        return json.loads(lines[0])["error"]["message"]
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == kind
+        return error["message"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_output_in_a_missing_directory_is_usage_error(self, tmp_path, capsys,
