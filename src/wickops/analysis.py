@@ -4,7 +4,7 @@ lower-bound (Garding-style) probe for Wick operators.
 Decay families, driven by shell maxima M_k = max{|c_a| : |a| = k}:
 
   * roumieu_s:   |c_a| ~ C e^{-r |a|^{1/(2s)}}   (super-exponential scale)
-  * flat_sigma:  |c_a| ~ r^{|a|} a!^{-1/(2 sigma)}
+  * flat_sigma:  |c_a| ~ C r^{|a|} a!^{-1/(2 sigma)}
   * h0:          finitely many shells; no fit is attempted.
 """
 
@@ -59,17 +59,23 @@ def shell_maxima(c: CoefficientExpansion) -> dict:
 
 
 def _roumieu_residual(ks, logm, s):
-    """Least-squares residual of log M_k ~ logC - r k^{1/(2s)} with r > 0."""
+    """Least-squares residual of log M_k ~ logC - r k^{1/(2s)} with r > 0.
+
+    The line through (x, y) = (k^{1/(2s)}, log M_k) has the closed form
+    r = -sum (x - mean x) y / sum (x - mean x)^2 and logC = mean y + r mean x.
+    """
     x = ks ** (1.0 / (2.0 * s))
-    A = np.stack([np.ones_like(x), -x], axis=1)
-    sol, *_ = np.linalg.lstsq(A, logm, rcond=None)
-    logc, r = sol
+    n = x.size
+    xbar = x.sum() / n
+    dx = x - xbar
+    r = -(dx @ logm) / (dx @ dx)
+    logc = logm.sum() / n + r * xbar
     if r <= 0:
         # constrained fit: r -> 0 leaves only the constant model
         r = 0.0
         logc = float(np.mean(logm))
     resid = logm - (logc - r * x)
-    return float(np.sqrt(np.mean(resid**2))), float(r), float(logc)
+    return math.sqrt(resid @ resid / n), float(r), float(logc)
 
 
 def _golden_section(f, lo, hi, tol):
@@ -120,20 +126,21 @@ def classify_decay(c: CoefficientExpansion, family: str = ROUMIEU) -> DecayFit:
         edge = (s - S_BRACKET[0] < 2 * S_TOL) or (S_BRACKET[1] - s < 2 * S_TOL)
         return DecayFit(family=ROUMIEU, parameter=float(s), rate=r, log_prefactor=logc,
                         residual=residual, shells_used=int(ks.size), inconclusive=edge)
-    # flat family: log M_k ~ k log r - (1/(2 sigma)) log k!  -- linear in both unknowns
+    # flat family: log M_k ~ log C + k log r - (1/(2 sigma)) log k!, linear in
+    # all three unknowns; the intercept keeps a constant factor out of r and sigma
     logfact = np.array([math.lgamma(k + 1.0) for k in ks])
-    A = np.stack([ks, -logfact], axis=1)
+    A = np.stack([np.ones_like(ks), ks, -logfact], axis=1)
     sol, *_ = np.linalg.lstsq(A, logm, rcond=None)
-    logr, inv2sigma = sol
+    logc, logr, inv2sigma = sol
     resid = logm - A @ sol
     residual = float(np.sqrt(np.mean(resid**2)))
     if inv2sigma <= 0:
         return DecayFit(family=FLAT, parameter=math.inf, rate=float(np.exp(logr)),
-                        log_prefactor=0.0, residual=residual,
+                        log_prefactor=float(logc), residual=residual,
                         shells_used=int(ks.size), inconclusive=True)
     sigma = 1.0 / (2.0 * inv2sigma)
     return DecayFit(family=FLAT, parameter=float(sigma), rate=float(np.exp(logr)),
-                    log_prefactor=0.0, residual=residual, shells_used=int(ks.size))
+                    log_prefactor=float(logc), residual=residual, shells_used=int(ks.size))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ A machine-readable error object is printed on stderr on failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -106,15 +108,12 @@ def _emit(payload, args, csv_lines=None):
                          if k != "output" and v is not None}
     payload["version"] = __version__
     path = _resolve_output(args.output)
-    csv = getattr(args, "format", "json") == "csv"
-    if csv and csv_lines is None:
-        raise UsageError("this subcommand has no CSV rendering; use --format json")
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
     with fh:
-        if csv:
+        if args.format == "csv":
             fh.write("# wickops " + __version__ + "\n")
             fh.writelines(line + "\n" for line in csv_lines)
         else:
@@ -277,23 +276,52 @@ def _matrix_csv(M: OperatorMatrix):
     return ["row,col,re,im", *map(",".join, zip(rows, cols, texts[0::2], texts[1::2]))]
 
 
+# The expression grammar: float64 numbers, x0 .. x{d-1}, pi and e, the binary
+# operators + - * / **, unary + and -, and one-argument calls of these functions.
+_FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+              "abs": np.abs, "cosh": np.cosh, "sinh": np.sinh, "tanh": np.tanh}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _evaluate(node, names):
+    """Value of a parsed expression; a node outside the grammar raises
+    ValueError.  Numbers are float64, so that 9**9**9 overflows to inf
+    instead of running as an integer power."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, names), _evaluate(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, names))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], names))
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.float64(node.value)
+    raise ValueError(f"{type(node).__name__} {ast.unparse(node)!r} is outside the "
+                     f"expression grammar")
+
+
 def _expression_callback(expr: str, dimension: int):
     """Turn an expression in x0..x{d-1} into a vectorized callback.
 
-    Evaluated with numpy in the namespace; intended for desk use, not as a
-    security boundary.
+    The text is parsed, never run: _evaluate walks the syntax tree and allows
+    only the grammar above.  Anything else, such as an attribute, a
+    subscript or another name, is an input-data error.
     """
-    names = {f"x{j}": j for j in range(dimension)}
+    variables = [f"x{j}" for j in range(dimension)]
 
     def f(points):
-        env = {"np": np, "pi": np.pi, "e": np.e,
-               "exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
-               "abs": np.abs, "cosh": np.cosh, "sinh": np.sinh, "tanh": np.tanh}
-        for name, j in names.items():
-            env[name] = points[:, j]
+        names = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
+        names.update((name, points[:, j]) for j, name in enumerate(variables))
         try:
-            vals = eval(expr, {"__builtins__": {}}, env)  # noqa: S307 - desk tool
-        except Exception as exc:
+            # a value that overflows, divides by zero or is not a number
+            # fails here, where the message can name the expression
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                vals = _evaluate(ast.parse(expr, mode="eval").body, names)
+        except (SyntaxError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
             raise InputDataError(f"cannot evaluate expression {expr!r}: {exc}") from exc
         return np.broadcast_to(np.asarray(vals, dtype=complex), (points.shape[0],))
 
@@ -583,11 +611,19 @@ def build_parser():
     return parser
 
 
+# The subcommands that render a CSV report; main refuses --format csv on any
+# other before it computes anything.
+_CSV_COMMANDS = frozenset({"wick-matrix", "antiwick-matrix", "kn-matrix", "weyl-matrix",
+                           "garding"})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # looked up by name on each call, so a rebinding of cmd_* takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise UsageError(f"{args.command} has no CSV rendering; use --format json")
         command(args)
     except UsageError as exc:
         _print_error("usage", exc)

@@ -164,6 +164,15 @@ def basis_index_map(d: int, degree_bound: int) -> dict:
     return {alpha: i for i, alpha in enumerate(enumerate_basis(d, degree_bound))}
 
 
+@lru_cache(maxsize=None)
+def _basis_array(d: int, degree_bound: int) -> np.ndarray:
+    """enumerate_basis(d, degree_bound) as a (len, d) integer array.  It is
+    cached and shared by every caller, so it is read-only."""
+    out = np.array(enumerate_basis(d, degree_bound), dtype=np.intp).reshape(-1, d)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Hermite rule for the weight e^{-x^2} on the real line."""
@@ -270,8 +279,9 @@ class CoefficientExpansion:
         self.dimension = int(dimension)
         self.side = side
         clean = {}
-        for key, value in dict(coeffs).items():
-            alpha = MultiIndex(key)
+        for alpha, value in dict(coeffs).items():
+            if not isinstance(alpha, MultiIndex):
+                alpha = MultiIndex(alpha)
             if len(alpha) != self.dimension:
                 raise UsageError(
                     f"index {alpha} has length {len(alpha)}, expected {self.dimension}")

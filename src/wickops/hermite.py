@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
     InputDataError,
     MultiIndex,
     UsageError,
+    _basis_array,
     _tensor_nodes,
     enumerate_basis,
     gauss_hermite,
@@ -130,12 +132,26 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
     # h_a is a product over coordinates and the rule a tensor product, so all
     # the sums are one contraction with the folded 1-d table per axis; each
     # pass moves the contracted axis to the end, leaving block[a_1, ..., a_d]
-    table = hermite_values_1d(degree_bound, rule.nodes) * (rule.weights * np.exp(rule.nodes**2))
+    table = _folded_table(degree_bound, quad_order)
     for _ in range(dimension):
         block = np.tensordot(block, table, axes=([0], [1]))
-    basis = enumerate_basis(dimension, degree_bound)
-    values = block[tuple(np.array(basis).T)]
-    return CoefficientExpansion(dimension, HERMITE, dict(zip(basis, values)))
+    values = block[tuple(_basis_array(dimension, degree_bound).T)]
+    return CoefficientExpansion(dimension, HERMITE,
+                                dict(zip(enumerate_basis(dimension, degree_bound),
+                                         values.tolist())))
+
+
+# Each table holds (degree_bound + 1) x order <= MAX_QUAD_ORDER^2 floats, which
+# is 8 MB, so the cache holds at most 32 MB.
+@lru_cache(maxsize=4)
+def _folded_table(degree_bound: int, order: int) -> np.ndarray:
+    """The (degree_bound + 1, order) table h_n(x_j) w_j e^{x_j^2} of the
+    order-point Gauss-Hermite rule.  It is cached per (degree, order) and
+    shared by every caller, so it is read-only."""
+    rule = gauss_hermite(order)
+    table = hermite_values_1d(degree_bound, rule.nodes) * (rule.weights * np.exp(rule.nodes**2))
+    table.flags.writeable = False
+    return table
 
 
 def _tensor_values(f: CoefficientExpansion, nodes_1d) -> np.ndarray:

@@ -27,6 +27,7 @@ from .core import (
     MultiIndex,
     NumericalError,
     UsageError,
+    _basis_array,
     enumerate_basis,
     grlex_key,
     json_index,
@@ -344,11 +345,11 @@ def _check_matrix_size(d: int, n_in: int, n_out: int, copies: int = 1) -> int:
 @lru_cache(maxsize=64)
 def _graded_columns(d: int, n_in: int, n_out: int):
     """Columns g, their suffix sums g_j + ... + g_{d-1}, below[s, j] = #{d - j, degree < s}."""
-    cols = np.array(enumerate_basis(d, n_in), dtype=np.intp).reshape(-1, d)
+    cols = _basis_array(d, n_in)
     below = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(d, 0, -1)]
                       for s in range(n_out + 1)], dtype=np.intp)
     suffix = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    cols.flags.writeable = suffix.flags.writeable = below.flags.writeable = False
+    suffix.flags.writeable = below.flags.writeable = False
     return cols, suffix, below
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError, enumerate_basis
 from wickops.hermite import norm_growth_probe
@@ -11,6 +12,8 @@ from wickops.analysis import (
     H0,
     MAX_DIAG_POINTS,
     ROUMIEU,
+    S_BRACKET,
+    _roumieu_residual,
     classify_decay,
     default_diag_grid,
     fit_norm_growth,
@@ -22,6 +25,44 @@ from wickops.analysis import (
 def synthetic_roumieu(s, r, shells=64):
     coeffs = {(k,): math.exp(-r * k ** (1.0 / (2.0 * s))) for k in range(shells + 1)}
     return CoefficientExpansion(1, HERMITE, coeffs)
+
+
+def _lstsq_roumieu_residual(ks, logm, s):
+    """The least-squares route the closed form in _roumieu_residual replaced,
+    kept as its oracle."""
+    x = ks ** (1.0 / (2.0 * s))
+    A = np.stack([np.ones_like(x), -x], axis=1)
+    sol, *_ = np.linalg.lstsq(A, logm, rcond=None)
+    logc, r = sol
+    if r <= 0:
+        r = 0.0
+        logc = float(np.mean(logm))
+    resid = logm - (logc - r * x)
+    return float(np.sqrt(np.mean(resid**2))), float(r), float(logc)
+
+
+@st.composite
+def _shells(draw):
+    """Distinct positive shell degrees, their log maxima (random or a decay
+    law plus noise) and an s inside the golden-section bracket."""
+    ks = np.array(sorted(draw(st.sets(st.integers(1, 60), min_size=4, max_size=30))), float)
+    noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=ks.size, max_size=ks.size))
+    if draw(st.booleans()):
+        logm = 20.0 * np.array(noise) - 15.0
+    else:
+        rate, power = draw(st.floats(0.1, 3.0)), draw(st.floats(0.2, 2.0))
+        logm = -rate * ks**power + 0.1 * np.array(noise)
+    return ks, logm, draw(st.floats(*S_BRACKET))
+
+
+def _decaying(family, s, r, noise):
+    """Coefficients |c_k| = e^{noise_k} times the family's law at C = 1, k <= 24."""
+    k = np.arange(len(noise))
+    if family == ROUMIEU:
+        law = -r * k ** (1.0 / (2.0 * s))
+    else:
+        law = k * math.log(r) - np.array([math.lgamma(n + 1.0) for n in k]) / (2.0 * s)
+    return np.exp(law + np.array(noise))
 
 
 class TestClassifyDecay:
@@ -56,6 +97,35 @@ class TestClassifyDecay:
         assert fit.family == FLAT
         assert fit.parameter == pytest.approx(sigma, abs=0.05)
         assert fit.rate == pytest.approx(r, rel=0.05)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_shells())
+    def test_closed_form_line_matches_least_squares(self, case):
+        ks, logm, s = case
+        got, want = _roumieu_residual(ks, logm, s), _lstsq_roumieu_residual(ks, logm, s)
+        # both routes fit the same line; compare its values at the shells
+        scale = max(1.0, float(np.max(np.abs(logm))))
+        x = ks ** (1.0 / (2.0 * s))
+        assert abs(got[0] - want[0]) <= 1e-12 * scale
+        assert abs(got[1] - want[1]) * (x[-1] - x[0]) <= 1e-10 * scale
+        assert abs(got[2] - want[2]) <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=st.sampled_from([ROUMIEU, FLAT]), s=st.floats(0.3, 2.0),
+           r=st.floats(0.3, 2.0), log10_c=st.floats(-12.0, 8.0),
+           noise=st.lists(st.floats(-0.3, 0.3), min_size=25, max_size=25))
+    def test_scale_moves_only_the_prefactor(self, family, s, r, log10_c, noise):
+        # c F has the operator-side meaning of F, so only log C may move
+        c = 10.0**log10_c
+        base = _decaying(family, s, r, noise)
+        fit = classify_decay(CoefficientExpansion(1, HERMITE, {(k,): v for k, v in enumerate(base)}),
+                             family)
+        scaled = classify_decay(
+            CoefficientExpansion(1, HERMITE, {(k,): c * v for k, v in enumerate(base)}), family)
+        assert scaled.parameter == pytest.approx(fit.parameter, rel=1e-9)
+        assert scaled.rate == pytest.approx(fit.rate, rel=1e-9)
+        assert scaled.log_prefactor - fit.log_prefactor == pytest.approx(math.log(c), abs=1e-9)
+        assert scaled.inconclusive == fit.inconclusive
 
     def test_unknown_family_rejected(self):
         c = synthetic_roumieu(1.0, 1.0)

@@ -534,11 +534,16 @@ class TestErrorExitCodes:
                      "--output", str(tmp_path / "o.json")]) == 3
         assert "nested too deeply" in self._error(capsys, "input-data")
 
-    def test_csv_unsupported_is_usage_error(self, tmp_path):
+    def test_csv_unsupported_is_usage_error(self, tmp_path, capsys, monkeypatch):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0})
         inp = write_json(tmp_path / "f.json", f.to_json_dict())
+        calls = []
+        monkeypatch.setattr(wickops.cli, "classify_decay", lambda *args: calls.append(args))
         assert main(["classify", "--input", inp,
                      "--output", str(tmp_path / "o.csv"), "--format", "csv"]) == 2
+        assert "no CSV rendering" in self._error(capsys, "usage")
+        assert calls == []  # refused before the fit ran
+        assert not (tmp_path / "o.csv").exists()
 
     def test_order_zero_expand_is_fine_but_negative_rejected(self, tmp_path,
                                                              oscillator_wick):
@@ -678,7 +683,11 @@ class TestErrorExitCodes:
         assert error["kind"] == "usage"
         assert "2825761" in error["message"] and "1000000" in error["message"]
 
-    @pytest.mark.parametrize("expression,dimension", [("exp(-x0**2/2", 1), ("x5", 1)])
+    @pytest.mark.parametrize("expression,dimension", [
+        ("exp(-x0**2/2", 1), ("x5", 1),
+        ("0*x0 + ().__class__.__mro__[1].__subclasses__().__len__()", 1),  # attributes
+        ("x0[0]", 1), ("np.pi * x0", 1), ("(lambda: x0)()", 1),
+        ("sum([x0 for x0 in (1, 2)])", 1), ("9**9**9", 1)])
     def test_bad_expression_is_input_error(self, tmp_path, capsys, expression, dimension):
         inp = write_json(tmp_path / "e.json",
                          {"dimension": dimension, "expression": expression})

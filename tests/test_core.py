@@ -11,6 +11,7 @@ from wickops.core import (
     MultiIndex,
     NumericalError,
     UsageError,
+    _basis_array,
     enumerate_basis,
     expansion_inner,
     gauss_hermite,
@@ -83,6 +84,15 @@ class TestEnumerateBasis:
         short = enumerate_basis(3, 4)
         long = enumerate_basis(3, 7)
         assert long[: len(short)] == short
+
+    @pytest.mark.parametrize("d, n", [(1, 0), (1, 24), (3, 6)])
+    def test_basis_array_is_the_basis_and_read_only(self, d, n):
+        cols = _basis_array(d, n)
+        assert _basis_array(d, n) is cols
+        assert cols.shape == (math.comb(n + d, d), d)
+        assert np.array_equal(cols, np.array(enumerate_basis(d, n)))
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1
 
 
 def double_factorial_moment(k):
@@ -215,3 +225,12 @@ class TestCoefficientExpansionContainer:
     def test_degree_bound(self):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0, (7,): 0.1})
         assert f.degree_bound == 7
+
+    def test_multi_index_key_kept_as_is(self):
+        alpha = MultiIndex((1, 2))
+        f = CoefficientExpansion(2, HERMITE, {alpha: 1.0, (0, 1): 2.0})
+        kept, wrapped = list(f.coeffs)
+        assert kept is alpha
+        assert type(wrapped) is MultiIndex and wrapped == (0, 1)
+        with pytest.raises(UsageError):
+            CoefficientExpansion(3, HERMITE, {alpha: 1.0})

@@ -10,6 +10,7 @@ from wickops.hermite import (
     ANNIHILATION,
     CREATION,
     LadderKind,
+    _folded_table,
     _tensor_values,
     apply_hermite_operator,
     apply_ladder,
@@ -135,6 +136,18 @@ class TestHermiteCoefficients:
         dev = max(abs(got.coeffs.get(a, 0.0) - c) for a, c in want.items())
         assert set(got.coeffs) <= set(want)
         assert dev <= 1e-13 * scale
+
+    @pytest.mark.parametrize("degree, order", [(0, 1), (6, 26), (24, 44)])
+    def test_folded_table_is_cached_and_read_only(self, degree, order):
+        table = _folded_table(degree, order)
+        assert _folded_table(degree, order) is table
+        rule = gauss_hermite(order)
+        want = hermite_values_1d(degree, rule.nodes) * (rule.weights * np.exp(rule.nodes**2))
+        assert np.array_equal(table, want)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table *= 2.0
 
     def test_non_finite_sample_reported(self):
         def f(pts):
