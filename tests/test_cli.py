@@ -686,8 +686,8 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("expression,dimension", [
         ("exp(-x0**2/2", 1), ("x5", 1),
         ("0*x0 + ().__class__.__mro__[1].__subclasses__().__len__()", 1),  # attributes
-        ("x0[0]", 1), ("np.pi * x0", 1), ("(lambda: x0)()", 1),
-        ("sum([x0 for x0 in (1, 2)])", 1), ("9**9**9", 1)])
+        ("x0[0]", 1), ("np.pi * x0", 1), ("(lambda x: x)(x0)", 1),
+        ("[x0 for x0 in (1,)]", 1), ("9**9**9", 1)])
     def test_bad_expression_is_input_error(self, tmp_path, capsys, expression, dimension):
         inp = write_json(tmp_path / "e.json",
                          {"dimension": dimension, "expression": expression})
