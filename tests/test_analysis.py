@@ -115,7 +115,7 @@ class TestClassifyDecay:
            r=st.floats(0.3, 2.0), log10_c=st.floats(-12.0, 8.0),
            noise=st.lists(st.floats(-0.3, 0.3), min_size=25, max_size=25))
     def test_scale_moves_only_the_prefactor(self, family, s, r, log10_c, noise):
-        # c F has the operator-side meaning of F, so only log C may move
+        # a constant factor is a prefactor, not decay, so only log C may move
         c = 10.0**log10_c
         base = _decaying(family, s, r, noise)
         fit = classify_decay(CoefficientExpansion(1, HERMITE, {(k,): v for k, v in enumerate(base)}),
