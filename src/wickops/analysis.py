@@ -166,13 +166,18 @@ class GardingReport:
         return asdict(self)
 
 
-def default_diag_grid(dimension: int = 1, radius: float = 4.0,
-                      n_radii: int = 33, n_angles: int = 64):
-    """Polar grid over the disk of the given radius (d = 1); for d > 1 a
-    coarse per-coordinate polar product is used.  Product grids of more than
-    MAX_DIAG_POINTS points are refused before allocation."""
-    radii = np.linspace(0.0, radius, n_radii)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+DIAG_RADIUS = 4.0
+DIAG_RADII = 33
+DIAG_ANGLES = 64
+
+
+def default_diag_grid(dimension: int = 1):
+    """Polar grid of DIAG_RADII radii up to DIAG_RADIUS by DIAG_ANGLES angles
+    (d = 1); for d > 1 a coarse per-coordinate polar product is used.
+    Product grids of more than MAX_DIAG_POINTS points are refused before
+    allocation."""
+    radii = np.linspace(0.0, DIAG_RADIUS, DIAG_RADII)
+    angles = 2.0 * np.pi * np.arange(DIAG_ANGLES) / DIAG_ANGLES
     pts_1d = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if dimension == 1:
         return pts_1d[:, None]
@@ -189,13 +194,14 @@ STABLE_REL = 0.05
 STABLE_ABS = 1e-6
 
 
-def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
+def garding_check(a: WickSymbol, truncations) -> GardingReport:
     """Spectral probe of the sharp lower-bound behavior across truncations.
 
     Per truncation N: take the square degree <= N block of wick_matrix(a, N),
     the minimum eigenvalue of its Hermitian part and the spectral norm of its
     skew part.  Stabilization is a plateau criterion on the last two minimum
-    eigenvalues; the report never asserts a constant.
+    eigenvalues; the report never asserts a constant.  diagonal_min is taken
+    on default_diag_grid.
     """
     if a.point_symbol:
         raise UsageError("garding_check applies to standard Wick symbols")
@@ -204,9 +210,7 @@ def garding_check(a: WickSymbol, truncations, diag_grid=None) -> GardingReport:
         raise UsageError("at least one truncation degree is required")
     if any(n2 <= n1 for n1, n2 in zip(truncations, truncations[1:])):
         raise UsageError("truncation degrees must be strictly increasing")
-    if diag_grid is None:
-        diag_grid = default_diag_grid(a.dimension)
-    diag_grid = np.atleast_2d(np.asarray(diag_grid, dtype=complex))
+    diag_grid = default_diag_grid(a.dimension)
     # graded bases nest and the entries do not depend on the truncation, so
     # each truncation's square block is a leading block of the largest one
     largest = wick_matrix(a, truncations[-1]).entries

@@ -25,7 +25,8 @@ from .core import (
     CoefficientExpansion,
     UsageError,
     gauss_hermite,
-    monomial_table,
+    power_tables,
+    table_sum,
     tensor_rule,
 )
 from .hermite import _sample
@@ -158,8 +159,8 @@ def evaluate_fock(F: CoefficientExpansion, z):
     if F.side != FOCK:
         raise UsageError("evaluate_fock expects a fock-side expansion")
     points, single = _as_complex_points(z, F.dimension)
-    coeffs = np.array([c / math.sqrt(a.factorial()) for a, c in F.coeffs.items()], dtype=complex)
-    values = np.sum(coeffs * monomial_table(points, list(F.coeffs)), axis=1)
+    coeffs = [c / math.sqrt(a.factorial()) for a, c in F.coeffs.items()]
+    values = table_sum(coeffs, list(F.coeffs), power_tables(points, F.degree_bound))
     return complex(values[0]) if single else values
 
 

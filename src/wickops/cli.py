@@ -86,8 +86,6 @@ def _load_json(path) -> dict:
 
 
 def _resolve_output(path):
-    if path is None:
-        raise UsageError("an --output path is required")
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
@@ -347,8 +345,7 @@ def cmd_hermite_coeffs(args):
         f = CoefficientExpansion.from_json_dict(data)
     else:
         raise InputDataError("input must contain 'expression' or an expansion with 'coeffs'")
-    quad_order = args.quad_order if args.quad_order is not None else degree + 20
-    exp = hermite_coefficients(f, d, degree, quad_order)
+    exp = hermite_coefficients(f, d, degree, args.quad_order)
     return _emit({"result": exp.to_json_dict()}, args)
 
 
@@ -381,7 +378,7 @@ def _matrix_command(args, builder, loader):
     M = builder(symbol, degree)
     if args.format == "csv":
         return _emit({}, args, csv_lines=_matrix_csv(M))
-    return _emit({"result": M.to_json_dict(entries_as_array=True)}, args)
+    return _emit({"result": M.to_json_dict()}, args)
 
 
 def cmd_wick_matrix(args):
@@ -475,12 +472,13 @@ def _selftest_cases():
         want = z**n / math.sqrt(math.factorial(n))
         check(f"bargmann integral h_{n} -> e_{n}", abs(got - want), 1e-8)
 
-    # Wick matrices against quadrature of the defining integral
+    # Wick and anti-Wick matrices against quadrature of the defining integral
     zs = [0.5 + 0.3j, -0.8 + 0.1j, 0.2 - 0.6j]
-    for p in range(4):
-        for q in range(4):
-            a = WickSymbol(1, {((p,), (q,)): 1.0})
-            M = wick_matrix(a, 6)
+    for name, builder, point_symbol, degrees in [("wick matrix z", wick_matrix, False, 4),
+                                                 ("anti-wick matrix w", antiwick_matrix, True, 3)]:
+        for p, q in itertools.product(range(degrees), repeat=2):
+            a = WickSymbol(1, {((p,), (q,)): 1.0}, point_symbol=point_symbol)
+            M = builder(a, 6)
             worst = 0.0
             for g in range(0, 7, 3):
                 F = CoefficientExpansion(1, "fock", {(g,): 1.0})
@@ -488,21 +486,7 @@ def _selftest_cases():
                     direct = wick_apply_quadrature(a, F, z)
                     closed = evaluate_fock(M.apply(F), z)
                     worst = max(worst, abs(direct - closed))
-            check(f"wick matrix z^{p} wbar^{q} vs integral", worst, 1e-8)
-
-    # anti-Wick matrices against quadrature
-    for p in range(3):
-        for q in range(3):
-            a0 = WickSymbol(1, {((p,), (q,)): 1.0}, point_symbol=True)
-            M = antiwick_matrix(a0, 6)
-            worst = 0.0
-            for g in range(0, 7, 3):
-                F = CoefficientExpansion(1, "fock", {(g,): 1.0})
-                for z in zs:
-                    direct = wick_apply_quadrature(a0, F, z)
-                    closed = evaluate_fock(M.apply(F), z)
-                    worst = max(worst, abs(direct - closed))
-            check(f"anti-wick matrix w^{p} wbar^{q} vs integral", worst, 1e-8)
+            check(f"{name}^{p} wbar^{q} vs integral", worst, 1e-8)
 
     # Fock inner product: coefficient route vs polar quadrature
     rng = np.random.default_rng(7)
@@ -539,11 +523,20 @@ def cmd_selftest(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, so that main reports
+    them as a JSON error object with exit code 2, like every usage error;
+    --help and --version still print and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The wickops argument parser, built once per process.  It holds no
     subcommand functions: main dispatches on the command name at call time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wickops",
         description="Hermite/Bargmann calculus: quantization matrices, the "
                     "Wick-to-anti-Wick expansion, decay classification and "
@@ -618,10 +611,10 @@ _CSV_COMMANDS = frozenset({"wick-matrix", "antiwick-matrix", "kn-matrix", "weyl-
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up by name on each call, so a rebinding of cmd_* takes effect
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        args = build_parser().parse_args(argv)
+        # looked up by name on each call, so a rebinding of cmd_* takes effect
+        command = globals()["cmd_" + args.command.replace("-", "_")]
         if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise UsageError(f"{args.command} has no CSV rendering; use --format json")
         command(args)

@@ -41,7 +41,8 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite",
     "tensor_rule",
-    "monomial_table",
+    "table_sum",
+    "power_tables",
     "CoefficientExpansion",
     "expansion_inner",
     "HERMITE",
@@ -237,13 +238,27 @@ def tensor_rule(rule: QuadratureRule, d: int):
     return points, weights
 
 
-def monomial_table(points, exponents) -> np.ndarray:
-    """Monomials of a batch of points: for (n, d) complex points and (k, d)
-    integer exponents, entry (i, m) of the (n, k) table is
-    prod_j points[i, j] ** exponents[m, j]."""
-    points = np.asarray(points, dtype=complex)
-    exponents = np.asarray(exponents, dtype=int).reshape(-1, points.shape[1])
-    return np.prod(points[:, None, :] ** exponents[None, :, :], axis=2)
+def table_sum(coeffs, exponents, tables) -> np.ndarray:
+    """Batch values of a sum of products of 1-d basis values: for k
+    coefficients, (k, m) integer exponents and m tables, tables[j] being the
+    (n, top + 1) values of coordinate j's 1-d basis at n points, entry i of
+    the (n,) result is sum_k c_k prod_j tables[j][i, e_kj].
+
+    The coefficient is multiplied in first and the coordinates in order, and
+    each row is summed over k in one np.sum; the gathered columns are
+    C-contiguous, so the sum's rounding does not depend on the tables'
+    memory layout."""
+    exponents = np.asarray(exponents, dtype=np.intp).reshape(len(coeffs), len(tables))
+    values = np.asarray(coeffs, dtype=complex)
+    for j, table in enumerate(tables):
+        values = values * np.take(table, exponents[:, j], axis=1)
+    return np.sum(values, axis=1)
+
+
+def power_tables(points, top: int) -> list:
+    """The (n, top + 1) tables points[:, j] ** (0 .. top) of an (n, d) batch
+    of complex points, one per coordinate, for table_sum."""
+    return [points[:, j, None] ** np.arange(top + 1) for j in range(points.shape[1])]
 
 
 def json_index(entries) -> MultiIndex:

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     HERMITE,
     MAX_QUAD_NODES,
-    CalculusError,
     CoefficientExpansion,
     InputDataError,
     MultiIndex,
@@ -30,6 +29,7 @@ from .core import (
     _tensor_nodes,
     enumerate_basis,
     gauss_hermite,
+    table_sum,
     tensor_rule,
 )
 
@@ -78,17 +78,12 @@ def hermite_function(alpha, x) -> float:
 
 
 def _sample(f, points) -> np.ndarray:
-    """Evaluate a callback at quadrature points, accepting either a vectorized
-    callback over an (n, d) array or a per-point callable.  A CalculusError
-    from the callback is its answer, not a sign that it is per-point."""
-    try:
-        vals = np.asarray(f(points), dtype=complex)
-        if vals.shape != (points.shape[0],):
-            raise ValueError
-    except CalculusError:
-        raise
-    except Exception:
-        vals = np.array([complex(f(p)) for p in points])
+    """Values of a vectorized callback on an (n, d) array of quadrature
+    points; a result that is not n values is a UsageError."""
+    vals = np.asarray(f(points), dtype=complex)
+    if vals.shape != (points.shape[0],):
+        raise UsageError(f"a callback on {points.shape[0]} points must return shape "
+                         f"({points.shape[0]},), got {vals.shape}")
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise InputDataError(
@@ -100,7 +95,8 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
                          quad_order: int | None = None) -> CoefficientExpansion:
     """Hermite coefficients c_a = integral f(x) h_a(x) dx for |a| <= degree_bound.
 
-    f is a callback, sampled at the nodes of a tensor Gauss-Hermite rule, or
+    f is a vectorized callback, taking an (n, d) array of points and
+    returning n values, sampled at the nodes of a tensor Gauss-Hermite rule, or
     a hermite-side CoefficientExpansion, synthesized on the same nodes axis
     by axis.  Either way the coefficients are the quadrature of the samples:
     the e^{-|x|^2} weight is folded back in per coordinate, by contracting
@@ -187,17 +183,9 @@ def synthesize(f: CoefficientExpansion, x):
     pts = np.atleast_2d(x)
     if pts.shape[-1] != f.dimension:
         raise UsageError(f"point dimension {pts.shape[-1]} != expansion dimension {f.dimension}")
-    n_max = f.degree_bound
-    tables = [hermite_values_1d(n_max, pts[:, j]) for j in range(f.dimension)]
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for alpha, c in f.coeffs.items():
-        h = np.ones(pts.shape[0])
-        for j, n in enumerate(alpha):
-            h = h * tables[j][n]
-        total += c * h
-    if single:
-        return complex(total[0])
-    return total
+    tables = [hermite_values_1d(f.degree_bound, pts[:, j]).T for j in range(f.dimension)]
+    total = table_sum(list(f.coeffs.values()), list(f.coeffs), tables)
+    return complex(total[0]) if single else total
 
 
 def apply_ladder(f: CoefficientExpansion, op: LadderKind) -> CoefficientExpansion:

@@ -32,7 +32,8 @@ from .core import (
     grlex_key,
     json_index,
     json_value,
-    monomial_table,
+    power_tables,
+    table_sum,
 )
 from .bargmann import (AccuracyWarning, gaussian_plane_rule, evaluate_fock, _as_complex_points,
                        _as_complex_vector)
@@ -150,9 +151,10 @@ class WickSymbol(_TermSymbol):
             raise UsageError("Wick symbols take two arguments (z, w)")
         z, z_single = _as_complex_points(z, self.dimension)
         w, w_single = _as_complex_points(w, self.dimension)
-        coeffs = np.array(list(self.terms.values()), dtype=complex)
-        values = np.sum(coeffs * monomial_table(z, [a for a, _ in self.terms])
-                        * monomial_table(np.conj(w), [b for _, b in self.terms]), axis=1)
+        exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2 * self.dimension)
+        points = np.concatenate(np.broadcast_arrays(z, np.conj(w)), axis=1)
+        values = table_sum(list(self.terms.values()), exponents,
+                           power_tables(points, int(exponents.max(initial=0))))
         return complex(values[0]) if z_single and w_single else values
 
     def diagonal_value(self, w):
@@ -205,16 +207,11 @@ class RealSymbol(_TermSymbol):
 
     _KINDS = {"kn": {"quantization": KOHN_NIRENBERG}, "weyl": {"quantization": WEYL}}
 
-    def __init__(self, dimension, quantization, terms, real_valued=False):
+    def __init__(self, dimension, quantization, terms):
         if quantization not in (KOHN_NIRENBERG, WEYL):
             raise UsageError(f"quantization must be '{KOHN_NIRENBERG}' or '{WEYL}'")
         super().__init__(dimension, terms)
         self.quantization = quantization
-        if real_valued:
-            for (alpha, beta), c in self.terms.items():
-                if abs(c.imag) > 1e-14 * max(1.0, abs(c)):
-                    raise UsageError(
-                        f"symbol flagged real-valued has complex coefficient at ({alpha}, {beta})")
 
     @property
     def kind(self) -> str:
@@ -264,30 +261,17 @@ class OperatorMatrix:
             self.dimension, self.basis_side,
             {basis[i]: out[i] for i in range(len(basis)) if out[i] != 0})
 
-    def to_json_dict(self, entries_as_array: bool = False) -> dict:
-        """The JSON fields, one [re, im] pair per entry, rows in order; with
-        entries_as_array the pairs stay an (n, 2) float64 array, maybe a view."""
+    def to_json_dict(self) -> dict:
+        """The JSON fields; the entries are one [re, im] pair per entry, rows
+        in order, as an (n, 2) float64 array, maybe a view."""
         pairs = np.ascontiguousarray(self.entries, dtype=complex).view(float).reshape(-1, 2)
         return {
             "dimension": self.dimension,
             "n_in": self.domain_degree,
             "n_out": self.codomain_degree,
             "side": self.basis_side,
-            "entries": pairs if entries_as_array else pairs.tolist(),
+            "entries": pairs,
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "OperatorMatrix":
-        try:
-            d = int(data["dimension"])
-            n_in_deg = int(data["n_in"])
-            n_out_deg = int(data["n_out"])
-            n_in = len(enumerate_basis(d, n_in_deg))
-            n_out = len(enumerate_basis(d, n_out_deg))
-            flat = np.array([json_value(pair) for pair in data["entries"]])
-            return cls(d, n_in_deg, n_out_deg, data["side"], flat.reshape(n_out, n_in))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise InputDataError(f"malformed matrix JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)

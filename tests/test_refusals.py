@@ -1,0 +1,168 @@
+"""Every library precondition refuses its input with the right exception, and
+the CLI turns each one it can reach into the matching exit code and JSON
+error object."""
+
+import json
+
+import numpy as np
+import pytest
+
+from wickops.analysis import fit_norm_growth, garding_check
+from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
+                              fock_inner_quadrature, gaussian_plane_rule, reproducing_quadrature)
+from wickops.cli import EXIT_INPUT, EXIT_USAGE, main
+from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, UsageError,
+                          enumerate_basis, gauss_hermite, tensor_rule)
+from wickops.expansion import diagonal_derivative_symbol, remainder_symbol
+from wickops.hermite import (CREATION, LadderKind, apply_hermite_operator, apply_ladder,
+                             hermite_coefficients, hermite_function, norm_growth_probe,
+                             synthesize)
+from wickops.symbols import (OperatorMatrix, RealSymbol, ShubinWeight, WickSymbol, kn_matrix,
+                             shubin_estimate_check, symbol_bound_check, wick_apply_quadrature,
+                             wick_matrix)
+
+OSC = WickSymbol(1, {((1,), (1,)): 1.0})
+POINT = WickSymbol(1, {((1,), (1,)): 1.0}, point_symbol=True)
+KN = RealSymbol(1, "kohn_nirenberg", {((1,), (1,)): 1.0})
+F_H = CoefficientExpansion(1, HERMITE, {(2,): 1.0})
+F_F = F_H.with_side(FOCK)
+F_F2 = CoefficientExpansion(2, FOCK, {(0, 1): 1.0})
+M = wick_matrix(OSC, 1)
+GRID = (np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex))
+EMPTY_GRID = (np.zeros((0, 1), dtype=complex), np.zeros((0, 1), dtype=complex))
+GAUSSIAN = {"dimension": 1, "expression": "exp(-x0**2 / 2)"}
+
+EXIT = {UsageError: EXIT_USAGE, InputDataError: EXIT_INPUT}
+
+# (id, library call or None, exception, message part, None or the CLI input
+# and arguments that reach the same check)
+REFUSALS = [
+    # core
+    ("enumerate_basis-dimension", lambda: enumerate_basis(0, 2), UsageError,
+     "dimension must be >= 1", None),
+    ("enumerate_basis-degree", lambda: enumerate_basis(1, -1), UsageError,
+     "degree bound must be >= 0", None),
+    ("gauss_hermite-order", lambda: gauss_hermite(0), UsageError,
+     "quadrature order must be >= 1",
+     (F_H.to_json_dict(), ["bargmann", "--cross-check", "1", "--quad-order", "0"])),
+    ("tensor_rule-dimension", lambda: tensor_rule(gauss_hermite(3), 0), UsageError,
+     "dimension must be >= 1", None),
+    ("expansion-plus", lambda: F_H.plus(F_F), UsageError,
+     "cannot add expansions with different dimension or side", None),
+    # hermite
+    ("LadderKind-kind", lambda: LadderKind("sideways"), UsageError,
+     "ladder kind must be", None),
+    ("LadderKind-coordinate", lambda: LadderKind(CREATION, -1), UsageError,
+     "ladder coordinate must be non-negative", None),
+    ("hermite_coefficients-quad_order",
+     lambda: hermite_coefficients(lambda x: np.exp(-x[:, 0] ** 2 / 2), 1, 8, 5), UsageError,
+     "quad_order 5 too small for degree bound 8",
+     (GAUSSIAN, ["hermite-coeffs", "--degree", "8", "--quad-order", "5"])),
+    ("hermite_coefficients-callback-shape",
+     lambda: hermite_coefficients(lambda x: np.zeros(3), 1, 2), UsageError,
+     "must return shape", None),
+    ("hermite_function-length", lambda: hermite_function((1, 2), [0.0]), UsageError,
+     "index length 2 != point dimension 1", None),
+    ("synthesize-side", lambda: synthesize(F_F, [0.0]), UsageError,
+     "synthesize expects a hermite-side expansion", None),
+    ("synthesize-dimension", lambda: synthesize(F_H, np.zeros((3, 2))), UsageError,
+     "point dimension 2 != expansion dimension 1", None),
+    ("apply_ladder-coordinate", lambda: apply_ladder(F_H, LadderKind(CREATION, 1)), UsageError,
+     "coordinate 1 out of range for dimension 1", None),
+    ("apply_hermite_operator-side", lambda: apply_hermite_operator(F_F), UsageError,
+     "the Hermite operator acts on hermite-side expansions", None),
+    ("norm_growth_probe-side", lambda: norm_growth_probe(F_F, 3), UsageError,
+     "norm_growth_probe expects a hermite-side expansion", None),
+    # bargmann
+    ("bargmann_kernel-dimension", lambda: bargmann_kernel(np.zeros(2), np.zeros(1)), UsageError,
+     "dimension mismatch between z and y", None),
+    ("bargmann_integral-shape",
+     lambda: bargmann_integral(lambda y: np.ones(len(y)), np.zeros((1, 1, 1))), UsageError,
+     "are neither (d,) nor (k, d)", None),
+    ("evaluate_fock-side", lambda: evaluate_fock(F_H, [0.0]), UsageError,
+     "evaluate_fock expects a fock-side expansion", None),
+    ("gaussian_plane_rule-orders", lambda: gaussian_plane_rule(0, 4), UsageError,
+     "quadrature orders must be >= 1", None),
+    ("fock_inner_quadrature-side", lambda: fock_inner_quadrature(F_H, F_H), UsageError,
+     "fock_inner_quadrature expects fock-side expansions", None),
+    ("fock_inner_quadrature-dimension", lambda: fock_inner_quadrature(F_F2, F_F2), UsageError,
+     "fock_inner_quadrature is a d = 1 oracle", None),
+    ("reproducing_quadrature-dimension", lambda: reproducing_quadrature(F_F2, [0.0, 0.0]),
+     UsageError, "reproducing_quadrature is a d = 1 fock-side oracle", None),
+    # symbols
+    ("evaluate-point-two-arguments", lambda: POINT.evaluate([0.0], [0.0]), UsageError,
+     "point symbols take a single argument", None),
+    ("evaluate-wick-one-argument", lambda: OSC.evaluate([0.0]), UsageError,
+     "Wick symbols take two arguments", None),
+    ("derivative-point", lambda: POINT.derivative((1,), (0,)), UsageError,
+     "derivative in (z, conj w) applies to standard Wick symbols", None),
+    ("symbol-plus", lambda: OSC.plus(POINT), UsageError,
+     "cannot add symbols of different dimension or kind", None),
+    ("RealSymbol-quantization", lambda: RealSymbol(1, "anti", {}), UsageError,
+     "quantization must be", None),
+    ("OperatorMatrix-shape", lambda: OperatorMatrix(1, 2, 2, FOCK, np.zeros((2, 2))),
+     UsageError, "does not match bases (3, 3)", None),
+    ("OperatorMatrix-embedded", lambda: M.embedded(0), UsageError,
+     "cannot embed into a smaller codomain", None),
+    ("OperatorMatrix-apply-side", lambda: M.apply(F_H), UsageError,
+     "expansion does not match the matrix bases", None),
+    ("OperatorMatrix-apply-degree", lambda: M.apply(F_F), UsageError,
+     "expansion degree exceeds the matrix domain", None),
+    ("ShubinWeight-rho", lambda: ShubinWeight(2.0, rho=1.5), UsageError,
+     "rho must lie in [0, 1]",
+     (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--rho", "1.5"])),
+    ("real_matrix-n_in", lambda: kn_matrix(KN, -1), UsageError, "n_in must be >= 0",
+     (KN.to_json_dict(), ["kn-matrix", "--degree", "-1"])),
+    ("wick_apply_quadrature-dimension",
+     lambda: wick_apply_quadrature(WickSymbol(2, {}), F_F2, [0.0, 0.0]), UsageError,
+     "quadrature oracle is d = 1 only", None),
+    ("wick_apply_quadrature-side", lambda: wick_apply_quadrature(OSC, F_H, [0.0]), UsageError,
+     "oracle expects a fock-side expansion", None),
+    ("symbol_bound_check-s", lambda: symbol_bound_check(OSC, 0.4, 1.0, "loss", GRID),
+     UsageError, "s must be >= 1/2", (OSC.to_json_dict(), ["bound-check", "--s", "0.4"])),
+    ("symbol_bound_check-r", lambda: symbol_bound_check(OSC, 0.5, 0.0, "loss", GRID),
+     UsageError, "r must be > 0", (OSC.to_json_dict(), ["bound-check", "--r", "0"])),
+    ("symbol_bound_check-direction", lambda: symbol_bound_check(OSC, 0.5, 1.0, "up", GRID),
+     UsageError, "direction must be 'gain' or 'loss'", None),
+    ("shubin_estimate_check-point",
+     lambda: shubin_estimate_check(POINT, ShubinWeight(2.0), 1, 0, GRID), UsageError,
+     "Shubin estimates apply to standard Wick symbols",
+     (POINT.to_json_dict(), ["bound-check", "--mode", "shubin"])),
+    ("shubin_estimate_check-grid",
+     lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 0, EMPTY_GRID), UsageError,
+     "bound check requires a non-empty grid", None),
+    # expansion
+    ("diagonal_derivative_symbol-point", lambda: diagonal_derivative_symbol(POINT, (1,)),
+     UsageError, "diagonal derivatives apply to standard Wick symbols", None),
+    ("remainder_symbol-point", lambda: remainder_symbol(POINT, (1,)), UsageError,
+     "remainder symbols apply to standard Wick symbols", None),
+    # analysis
+    ("garding_check-point", lambda: garding_check(POINT, [4]), UsageError,
+     "garding_check applies to standard Wick symbols",
+     (POINT.to_json_dict(), ["garding", "--truncations", "4"])),
+    ("garding_check-truncations", lambda: garding_check(OSC, []), UsageError,
+     "at least one truncation degree is required", None),
+    ("fit_norm_growth-length", lambda: fit_norm_growth([1.0, 2.0, 3.0]), InputDataError,
+     "need at least 4 norm values, got 3", None),
+    # cli
+    ("hermite-coeffs-input", None, InputDataError,
+     "input must contain 'expression' or an expansion with 'coeffs'",
+     ({"dimension": 1}, ["hermite-coeffs"])),
+]
+
+
+@pytest.mark.parametrize("call, error, message, cli", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal(call, error, message, cli, tmp_path, capsys):
+    if call is not None:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and message in str(exc.value)
+    if cli is not None:
+        data, argv = cli
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(data))
+        assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "out.json"),
+                     *argv[1:]]) == EXIT[error]
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not (tmp_path / "out.json").exists()

@@ -840,13 +840,6 @@ class TestOperatorMatrixContainer:
         assert np.allclose(E.entries[:6, :], M.entries)
         assert not E.entries[6:].any()
 
-    def test_json_round_trip(self):
-        a = WickSymbol(1, {((1,), (1,)): 1.0 + 0.5j})
-        M = wick_matrix(a, 4)
-        M2 = OperatorMatrix.from_json_dict(M.to_json_dict())
-        assert np.allclose(M.entries, M2.entries)
-        assert M2.basis_side == FOCK
-
     def test_symbol_json_round_trip(self):
         a = WickSymbol(2, {((1, 0), (0, 1)): 1j}, point_symbol=True)
         a2 = WickSymbol.from_json_dict(a.to_json_dict())
