@@ -242,7 +242,8 @@ def table_sum(coeffs, exponents, tables) -> np.ndarray:
     """Batch values of a sum of products of 1-d basis values: for k
     coefficients, (k, m) integer exponents and m tables, tables[j] being the
     (n, top + 1) values of coordinate j's 1-d basis at n points, entry i of
-    the (n,) result is sum_k c_k prod_j tables[j][i, e_kj].
+    the (n,) result is sum_k c_k prod_j tables[j][i, e_kj].  A table of one
+    row broadcasts against the others.
 
     The coefficient is multiplied in first and the coordinates in order, and
     each row is summed over k in one np.sum; the gathered columns are

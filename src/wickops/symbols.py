@@ -152,9 +152,10 @@ class WickSymbol(_TermSymbol):
         z, z_single = _as_complex_points(z, self.dimension)
         w, w_single = _as_complex_points(w, self.dimension)
         exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2 * self.dimension)
-        points = np.concatenate(np.broadcast_arrays(z, np.conj(w)), axis=1)
+        top = int(exponents.max(initial=0))
+        # a single z or w broadcasts against the other's batch in table_sum
         values = table_sum(list(self.terms.values()), exponents,
-                           power_tables(points, int(exponents.max(initial=0))))
+                           power_tables(z, top) + power_tables(np.conj(w), top))
         return complex(values[0]) if z_single and w_single else values
 
     def diagonal_value(self, w):
