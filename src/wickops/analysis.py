@@ -20,7 +20,7 @@ from .core import (
     InputDataError,
     NumericalError,
     UsageError,
-    enumerate_basis,
+    basis_size,
 )
 from .symbols import WickSymbol, wick_matrix
 
@@ -97,6 +97,8 @@ def _golden_section(f, lo, hi, tol):
 
 
 S_BRACKET = (0.1, 4.0)
+# a tolerance on s, which does not change when the coefficients are scaled
+# (that moves only log C), so it holds at every scale
 S_TOL = 1e-3
 
 
@@ -217,7 +219,7 @@ def garding_check(a: WickSymbol, truncations) -> GardingReport:
     min_real = []
     max_imag = []
     for n in truncations:
-        size = len(enumerate_basis(a.dimension, n))
+        size = basis_size(a.dimension, n)
         M = largest[:size, :size]
         herm = 0.5 * (M + M.conj().T)
         skew = (M - M.conj().T) / 2j

@@ -22,6 +22,8 @@ import numpy as np
 from .core import (
     FOCK,
     HERMITE,
+    MAX_QUAD_NODES,
+    MAX_QUAD_ORDER,
     CoefficientExpansion,
     UsageError,
     gauss_hermite,
@@ -88,7 +90,8 @@ _PEAK_MARGIN = 5.0 / math.sqrt(2.0)
 # For h_3 -> e_3 at order 60 (true relative error in brackets) it reads
 # 9e-5 at z = 6i [2.4e-11] and 1e-5 at z = 8 [1e-15], but 8e7 at 8i
 # [7.4e-2], 49 at 8 e^{i pi/4} [1.5e-8] and 0.59 at 12 [1.5e-3]; for
-# expansions up to degree 30 it stays below 4e-8 at |z| <= 4.
+# expansions up to degree 30 it stays below 4e-8 at |z| <= 4.  The distance,
+# |result| and the norm of f all scale with f, so it holds at every scale.
 _RULE_AGREEMENT = 1e-3
 
 
@@ -164,23 +167,32 @@ def evaluate_fock(F: CoefficientExpansion, z):
     return complex(values[0]) if single else values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def gaussian_plane_rule(radial_order: int = 40, angular_order: int = 64):
     """Quadrature (points, weights) for pi^{-1} * integral over C of
     g(w) e^{-|w|^2} dlambda(w), d = 1.
 
     Polar coordinates with the substitution u = r^2: Gauss-Laguerre radially
     (exact for even polynomial radial parts) and a uniform angular grid
-    (exact for Fourier modes below angular_order).
+    (exact for Fourier modes below angular_order).  Rules are cached and
+    shared, so read-only; radial orders over MAX_QUAD_ORDER and rules of more
+    than MAX_QUAD_NODES nodes are refused before allocation.
     """
     if radial_order < 1 or angular_order < 1:
         raise UsageError("quadrature orders must be >= 1")
+    if radial_order > MAX_QUAD_ORDER:
+        raise UsageError(f"radial order {radial_order} is over the budget of {MAX_QUAD_ORDER}")
+    if radial_order * angular_order > MAX_QUAD_NODES:
+        raise UsageError(f"a {radial_order} x {angular_order} plane rule has "
+                         f"{radial_order * angular_order} nodes, over the budget of "
+                         f"{MAX_QUAD_NODES}; lower the quadrature orders")
     u, lw = np.polynomial.laguerre.laggauss(radial_order)
     theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
     r = np.sqrt(u)
     points = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = np.broadcast_to(lw[:, None] / angular_order,
                               (radial_order, angular_order)).ravel().copy()
+    points.flags.writeable = weights.flags.writeable = False
     return points, weights
 
 

@@ -107,15 +107,14 @@ def _emit(payload, args, csv_lines=None):
     payload["version"] = __version__
     path = _resolve_output(args.output)
     try:
-        fh = open(path, "w")
+        with open(path, "w") as fh:
+            if args.format == "csv":
+                fh.write("# wickops " + __version__ + "\n")
+                fh.writelines(line + "\n" for line in csv_lines)
+            else:
+                _write_json(fh, payload)
     except OSError as exc:
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
-    with fh:
-        if args.format == "csv":
-            fh.write("# wickops " + __version__ + "\n")
-            fh.writelines(line + "\n" for line in csv_lines)
-        else:
-            _write_json(fh, payload)
     return path
 
 
@@ -503,12 +502,8 @@ def _selftest_cases():
 def cmd_selftest(args):
     checks = _selftest_cases()
     width = max(len(name) for name, *_ in checks)
-    lines = []
     for name, dev, tol, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"{name:<{width}}  {dev:12.3e}  (tol {tol:g})  {status}"
-        lines.append(line)
-        print(line)
+        print(f"{name:<{width}}  {dev:12.3e}  (tol {tol:g})  {'PASS' if ok else 'FAIL'}")
     failed = [c for c in checks if not c[3]]
     print(f"{len(checks) - len(failed)}/{len(checks)} oracle checks passed")
     if args.output:
@@ -516,12 +511,22 @@ def cmd_selftest(args):
                           for n, d, t, ok in checks]}, args)
     if failed:
         raise NumericalError(f"{len(failed)} selftest oracle checks failed")
-    return None
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _finite_float(text) -> float:
+    """argparse type of the float options: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise UsageError, so that main reports
@@ -587,14 +592,14 @@ def build_parser():
 
     p = add("bound-check", "grid check of symbol-class bounds")
     p.add_argument("--mode", choices=("gs", "shubin"), default="gs")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=0.5)
+    p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--direction", choices=("gain", "loss"), default="loss")
-    p.add_argument("--weight-t", type=float, default=2.0)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--weight-t", type=_finite_float, default=2.0)
+    p.add_argument("--rho", type=_finite_float, default=1.0)
     p.add_argument("--max-order", type=int, default=1)
     p.add_argument("--n-decay", type=int, default=0)
-    p.add_argument("--grid-radius", type=float, default=4.0)
+    p.add_argument("--grid-radius", type=_finite_float, default=4.0)
     p.add_argument("--grid-points", type=int, default=5)
 
     p = add("selftest", "run the quadrature-vs-closed-form oracle suite",

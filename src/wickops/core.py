@@ -37,7 +37,6 @@ __all__ = [
     "MultiIndex",
     "grlex_key",
     "enumerate_basis",
-    "basis_index_map",
     "QuadratureRule",
     "gauss_hermite",
     "tensor_rule",
@@ -87,10 +86,7 @@ class MultiIndex(tuple):
         return sum(self)
 
     def factorial(self) -> int:
-        out = 1
-        for e in self:
-            out *= math.factorial(e)
-        return out
+        return math.prod(map(math.factorial, self))
 
     def dominates(self, other) -> bool:
         """Componentwise self >= other (both derivatives and shifts need this)."""
@@ -141,31 +137,41 @@ def _fixed_degree(d, n):
             yield (k,) + rest
 
 
-@lru_cache(maxsize=None)
+def basis_size(d: int, degree_bound: int) -> int:
+    """len(enumerate_basis(d, degree_bound)), in closed form."""
+    if d < 1:
+        raise UsageError(f"dimension must be >= 1, got {d}")
+    if degree_bound < 0:
+        raise UsageError(f"degree bound must be >= 0, got {degree_bound}")
+    return math.comb(degree_bound + d, d)
+
+
+@lru_cache(maxsize=64)
 def enumerate_basis(d: int, degree_bound: int) -> tuple:
     """All multi-indices of length d and degree <= degree_bound, graded-lex.
 
     The list for bound N is a prefix of the list for any bound M > N, which
     is what makes zero-padding of operator matrices a pure row extension.
     """
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
-    if degree_bound < 0:
-        raise UsageError(f"degree bound must be >= 0, got {degree_bound}")
+    basis_size(d, degree_bound)  # refuses d < 1 and degree_bound < 0
     out = []
     for n in range(degree_bound + 1):
         out.extend(MultiIndex(a) for a in _fixed_degree(d, n))
-    assert len(out) == math.comb(degree_bound + d, d)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def basis_index_map(d: int, degree_bound: int) -> dict:
-    """Position of each multi-index inside enumerate_basis(d, degree_bound)."""
-    return {alpha: i for i, alpha in enumerate(enumerate_basis(d, degree_bound))}
+@lru_cache(maxsize=64)
+def _rank_table(d: int, top: int) -> np.ndarray:
+    """Closed-form graded rank, table[s, j] = #{length d - j, degree < s} for
+    s <= top: g of degree <= top sits at position sum_j table[g_j + ... +
+    g_{d-1}, j] of enumerate_basis.  Cached and shared, so read-only."""
+    table = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(d, 0, -1)]
+                      for s in range(top + 1)], dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _basis_array(d: int, degree_bound: int) -> np.ndarray:
     """enumerate_basis(d, degree_bound) as a (len, d) integer array.  It is
     cached and shared by every caller, so it is read-only."""
@@ -334,12 +340,8 @@ class CoefficientExpansion:
     def dense(self, degree_bound=None) -> np.ndarray:
         """Coefficient vector over the graded basis up to degree_bound."""
         n = self.degree_bound if degree_bound is None else degree_bound
-        idx = basis_index_map(self.dimension, n)
-        vec = np.zeros(len(idx), dtype=complex)
-        for a, v in self.coeffs.items():
-            if a.degree() <= n:
-                vec[idx[a]] = v
-        return vec
+        return np.array([self.coeffs.get(a, 0) for a in enumerate_basis(self.dimension, n)],
+                        dtype=complex)
 
     def to_json_dict(self) -> dict:
         items = sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))

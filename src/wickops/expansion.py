@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import FOCK, MultiIndex, UsageError, enumerate_basis
+from .core import FOCK, MultiIndex, UsageError, basis_size, enumerate_basis
 from .symbols import OperatorMatrix, WickSymbol, antiwick_matrix, wick_matrix
 
 
@@ -121,18 +121,14 @@ def decompose(a: WickSymbol, order: int) -> WickToAntiWickDecomposition:
     if order < 0:
         raise UsageError(f"order must be >= 0, got {order}")
     d = a.dimension
-    main = []
-    for alpha in enumerate_basis(d, order):
-        symbol = diagonal_derivative_symbol(a, alpha)
-        main.append(DecompositionTerm(alpha, symbol, (-1) ** alpha.degree(),
-                                      alpha.factorial()))
-    remainder = []
-    for alpha in enumerate_basis(d, order + 1):
-        if alpha.degree() != order + 1:
-            continue
-        symbol = remainder_symbol(a, alpha)
-        remainder.append(DecompositionTerm(alpha, symbol, (-1) ** alpha.degree(),
-                                           alpha.factorial()))
+    # in graded order the indices of degree order + 1 are the suffix
+    basis, split = enumerate_basis(d, order + 1), basis_size(d, order)
+
+    def terms(symbol_of, alphas):
+        return [DecompositionTerm(alpha, symbol_of(a, alpha), (-1) ** alpha.degree(),
+                                  alpha.factorial()) for alpha in alphas]
+    main = terms(diagonal_derivative_symbol, basis[:split])
+    remainder = terms(remainder_symbol, basis[split:])
     return WickToAntiWickDecomposition(order=order, dimension=d,
                                        main_terms=main, remainder_terms=remainder,
                                        order_zero_extension=(order == 0))
@@ -151,8 +147,8 @@ def decomposition_matrix(decomp: WickToAntiWickDecomposition, n_in: int) -> Oper
         raise UsageError("empty decomposition")
     pieces = [build(symbol, n_in) for symbol, build in folds if symbol.terms]
     n_out = max((M.codomain_degree for M in pieces), default=n_in)
-    total = np.zeros((len(enumerate_basis(decomp.dimension, n_out)),
-                      len(enumerate_basis(decomp.dimension, n_in))), dtype=complex)
+    total = np.zeros((basis_size(decomp.dimension, n_out), basis_size(decomp.dimension, n_in)),
+                     dtype=complex)
     for M in pieces:
         total[: M.entries.shape[0]] += M.entries
     return OperatorMatrix(decomp.dimension, n_in, n_out, FOCK, total)

@@ -28,6 +28,8 @@ from .core import (
     NumericalError,
     UsageError,
     _basis_array,
+    _rank_table,
+    basis_size,
     enumerate_basis,
     grlex_key,
     json_index,
@@ -50,22 +52,6 @@ MAX_GRID_PAIRS = 1_000_000
 # _assemble holds the complex matrix and blocks of a quarter of its entries,
 # about twice the matrix's 160 MB at this size
 MAX_MATRIX_ENTRIES = 10_000_000
-
-
-def _falling(n: int, k: int) -> int:
-    """n! / (n-k)! for integers n >= k >= 0."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
-def _falling_multi(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """alpha! / (alpha - beta)! componentwise; caller guarantees alpha >= beta."""
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= _falling(a, b)
-    return out
 
 
 class _TermSymbol:
@@ -173,7 +159,8 @@ class WickSymbol(_TermSymbol):
         for (a, b), c in self.terms.items():
             if not (a.dominates(alpha) and b.dominates(beta)):
                 continue
-            factor = _falling_multi(a, alpha) * _falling_multi(b, beta)
+            # a!/(a - alpha)! b!/(b - beta)!, over the 2d coordinates of (a, b)
+            factor = math.prod(map(math.perm, (*a, *b), (*alpha, *beta)))
             key = (a - alpha, b - beta)
             out[key] = out.get(key, 0.0) + factor * c
         return WickSymbol(self.dimension, out)
@@ -233,8 +220,8 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        n_in = len(enumerate_basis(self.dimension, self.domain_degree))
-        n_out = len(enumerate_basis(self.dimension, self.codomain_degree))
+        n_in = basis_size(self.dimension, self.domain_degree)
+        n_out = basis_size(self.dimension, self.codomain_degree)
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.shape != (n_out, n_in):
             raise UsageError(
@@ -244,7 +231,7 @@ class OperatorMatrix:
         """Zero-pad rows up to a larger codomain degree (graded bases nest)."""
         if codomain_degree < self.codomain_degree:
             raise UsageError("cannot embed into a smaller codomain")
-        n_out = len(enumerate_basis(self.dimension, codomain_degree))
+        n_out = basis_size(self.dimension, codomain_degree)
         padded = np.zeros((n_out, self.entries.shape[1]), dtype=complex)
         padded[: self.entries.shape[0], :] = self.entries
         return OperatorMatrix(self.dimension, self.domain_degree, codomain_degree,
@@ -255,12 +242,10 @@ class OperatorMatrix:
             raise UsageError("expansion does not match the matrix bases")
         if f.degree_bound > self.domain_degree:
             raise UsageError("expansion degree exceeds the matrix domain")
-        vec = f.dense(self.domain_degree)
-        out = self.entries @ vec
+        out = self.entries @ f.dense(self.domain_degree)
         basis = enumerate_basis(self.dimension, self.codomain_degree)
-        return CoefficientExpansion(
-            self.dimension, self.basis_side,
-            {basis[i]: out[i] for i in range(len(basis)) if out[i] != 0})
+        # the constructor drops the zero entries
+        return CoefficientExpansion(self.dimension, self.basis_side, dict(zip(basis, out)))
 
     def to_json_dict(self) -> dict:
         """The JSON fields; the entries are one [re, im] pair per entry, rows
@@ -318,24 +303,13 @@ def _check_matrix_size(d: int, n_in: int, n_out: int, copies: int = 1) -> int:
     """Column count of the matrix between the graded bases of degrees <= n_in
     and <= n_out; `copies` such matrices and their (n_out + 1)^2-entry coordinate
     tables are refused over MAX_MATRIX_ENTRIES entries before any is built."""
-    n_rows, n_cols = math.comb(n_out + d, d), math.comb(n_in + d, d)
+    n_rows, n_cols = basis_size(d, n_out), basis_size(d, n_in)
     size = max(copies * n_rows * n_cols, (n_out + 1) ** 2)
     if size > MAX_MATRIX_ENTRIES:
         raise UsageError(f"{size} entries ({copies} x {n_rows} x {n_cols} matrix, {n_out + 1} x "
                          f"{n_out + 1} coordinate tables) are over the budget of "
                          f"{MAX_MATRIX_ENTRIES}; lower the degree")
     return n_cols
-
-
-@lru_cache(maxsize=64)
-def _graded_columns(d: int, n_in: int, n_out: int):
-    """Columns g, their suffix sums g_j + ... + g_{d-1}, below[s, j] = #{d - j, degree < s}."""
-    cols = _basis_array(d, n_in)
-    below = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(d, 0, -1)]
-                      for s in range(n_out + 1)], dtype=np.intp)
-    suffix = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    suffix.flags.writeable = below.flags.writeable = False
-    return cols, suffix, below
 
 
 def _entries(keys, d, n_in, n_out, table):
@@ -345,7 +319,10 @@ def _entries(keys, d, n_in, n_out, table):
     table(a, b) is the (L, L) factor of the pair (a, b), L = n_out + 1, indexed
     [out degree, in degree], kept as its non-zero diagonals k = out - in: one
     per coordinate sends column g to row g + k, factors in coordinate order."""
-    cols, col_suffix, below = _graded_columns(d, n_in, n_out)
+    # columns g, their suffix sums g_j + ... + g_{d-1}, and the closed-form
+    # graded rank that turns a row's suffix sums into its position
+    cols, below = _basis_array(d, n_in), _rank_table(d, n_out)
+    col_suffix = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
     flat = list(chain.from_iterable(chain.from_iterable(keys)))
     exponent = sorted(set(flat))  # ranked, so that pair codes stay small
     ranks = np.fromiter(map({e: i for i, e in enumerate(exponent)}.__getitem__, flat), np.intp)
@@ -372,7 +349,7 @@ def _entries(keys, d, n_in, n_out, table):
     stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
     diag = first[key] + local[:, None] // stride[key] % count[key]
     shift = np.cumsum(shifted[diag][:, ::-1] - n_in, axis=1)[:, ::-1]
-    step = max(1, max(math.comb(n_out + d, d) * len(cols) // 4, 2**16) // len(cols))
+    step = max(1, max(basis_size(d, n_out) * len(cols) // 4, 2**16) // len(cols))
     for start in range(0, len(key), step):
         block = diag[start:start + step]
         factor = values[block[:, 0, None], cols[None, :, 0]]
@@ -388,7 +365,7 @@ def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
     {(alpha, beta): c}, table as in _entries, scattered with np.add.at in
     term order: each entry sums the products a dense per-term sum would."""
     n_cols = _check_matrix_size(d, n_in, n_out)
-    M = np.zeros((math.comb(n_out + d, d), n_cols), dtype=complex)
+    M = np.zeros((basis_size(d, n_out), n_cols), dtype=complex)
     c = np.array(list(terms.values()), dtype=complex)
     for term, row, col, factor in _entries(list(terms), d, n_in, n_out, table):
         np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
@@ -404,7 +381,7 @@ def _fock_diagonal(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
     for i, g in enumerate(range(max(0, q - p), min(L, L + q - p))):
         top = g + p if antiwick else g
         if top >= q:
-            diag[i] = _falling(top, q) * math.sqrt(math.factorial(g + p - q) / math.factorial(g))
+            diag[i] = math.perm(top, q) * math.sqrt(math.factorial(g + p - q) / math.factorial(g))
     diag.flags.writeable = False
     return diag
 
@@ -550,7 +527,7 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     d = b.dimension
     keys, n_out = enumerate_symbol_keys(d, deg), n_probe + deg
     n_cols = _check_matrix_size(d, n_probe, n_out, len(keys))
-    A = np.zeros((len(keys), math.comb(n_out + d, d) * n_cols), dtype=complex).T
+    A = np.zeros((len(keys), basis_size(d, n_out) * n_cols), dtype=complex).T
     for key, row, col, factor in _entries(keys, d, n_probe, n_out,
                                           lambda p, q: _fock_table(p, q, n_out + 1, False)):
         A[row * n_cols + col, key] = factor
@@ -653,6 +630,8 @@ def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7)
         raise UsageError(f"a grid of {points_per_axis} points per axis in dimension "
                          f"{dimension} has {n_pairs} (z, w) pairs, over the budget of "
                          f"{MAX_GRID_PAIRS}; use fewer grid points")
+    if not math.isfinite(2.0 * radius):  # the axis's length
+        raise UsageError(f"a grid of radius {radius:g} overflows float64; use a smaller radius")
     axis = np.linspace(-radius, radius, points_per_axis)
     values = np.empty((points_per_axis, points_per_axis), dtype=complex)
     values.real, values.imag = axis[:, None], axis[None, :]
@@ -724,7 +703,9 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
     with np.errstate(over="ignore"):
         gauss = np.exp(0.5 * np.linalg.norm(z - w, axis=1) ** 2)
     _require_finite(gauss, "the exponential weight", z, w)
-    base = gauss * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
+    with np.errstate(over="ignore"):
+        base = gauss * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
+    _require_finite(base, f"the weighted bound (t = {weight.t:g})", z, w)
     plus = japanese_bracket(z + w)
     minus = japanese_bracket(z - w)
     details = []

@@ -217,6 +217,30 @@ class TestGardingCheck:
             garding_check(a, [8, 8])
 
 
+@st.composite
+def _wick_symbols(draw):
+    """Small Wick symbols in d = 1 or 2, half of them Hermitian (a + a*)."""
+    d = draw(st.integers(1, 2))
+    index = st.tuples(*[st.integers(0, 2)] * d)
+    value = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    a = WickSymbol(d, draw(st.dictionaries(st.tuples(index, index), value, max_size=5)))
+    return a.plus(a.conjugate()) if draw(st.booleans()) else a
+
+
+class TestGardingInterlacing:
+    @settings(max_examples=40, deadline=None)
+    @given(_wick_symbols())
+    def test_spectral_bounds_are_monotone_across_truncations(self, a):
+        # each truncation is a leading block of the next, so by Cauchy
+        # interlacing the Hermitian part's minimum cannot rise and the skew
+        # part's spectral norm cannot fall
+        report = garding_check(a, range(7) if a.dimension == 1 else range(5))
+        low, high = report.min_real_eigenvalues, report.max_imag_norms
+        tol = 1e-10 * max([1.0, *map(abs, low), *high])
+        assert all(later <= earlier + tol for earlier, later in zip(low, low[1:]))
+        assert all(later >= earlier - tol for earlier, later in zip(high, high[1:]))
+
+
 class TestDiagGridBudget:
     def test_grid_sizes_below_the_budget(self):
         assert default_diag_grid(1).shape == (2112, 1)

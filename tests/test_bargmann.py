@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.core import FOCK, HERMITE, CoefficientExpansion, UsageError, expansion_inner
+from wickops.core import (FOCK, HERMITE, MAX_QUAD_ORDER, CoefficientExpansion, UsageError,
+                          expansion_inner)
 from wickops.hermite import (
     ANNIHILATION,
     CREATION,
@@ -22,6 +23,7 @@ from wickops.bargmann import (
     bargmann_kernel,
     evaluate_fock,
     fock_inner_quadrature,
+    gaussian_plane_rule,
     reproducing_quadrature,
 )
 
@@ -244,6 +246,31 @@ class TestFockInnerQuadrature:
         e4 = CoefficientExpansion(1, FOCK, {(4,): 1.0})
         with pytest.warns(AccuracyWarning):
             fock_inner_quadrature(e4, e4, angular_order=6)
+
+
+class TestGaussianPlaneRule:
+    def test_cached_rule_is_read_only(self):
+        points, weights = gaussian_plane_rule(40, 64)
+        assert gaussian_plane_rule(40, 64)[0] is points
+        for array in (points, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+        u, lw = np.polynomial.laguerre.laggauss(40)
+        assert np.array_equal(weights, np.repeat(lw / 64, 64))
+        assert np.array_equal(points[::64], np.sqrt(u))
+
+    def test_cache_is_bounded(self):
+        assert gaussian_plane_rule.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("orders", [(MAX_QUAD_ORDER + 1, 1), (1000, 1001)])
+    def test_oversized_rule_is_refused_before_allocation(self, monkeypatch, orders):
+        def unreachable(order):
+            raise AssertionError("the rule was built")
+        monkeypatch.setattr(np.polynomial.laguerre, "laggauss", unreachable)
+        with pytest.raises(UsageError, match="over the budget"):
+            gaussian_plane_rule(*orders)
 
 
 class TestIsometry:

@@ -492,6 +492,21 @@ class TestOutputDirEnv:
         assert (tmp_path / "report.json").exists()
 
 
+# bound-check float options that are not finite, or that overflow the grid or
+# the weight: (arguments, exit code, part of the error message)
+_FLOAT_OPTION_CASES = [
+    (["--r", "nan"], 2, "argument --r: invalid finite float value: 'nan'"),
+    (["--s", "inf"], 2, "argument --s: invalid finite float value: 'inf'"),
+    (["--mode", "shubin", "--weight-t", "nan"], 2, "argument --weight-t"),
+    (["--mode", "shubin", "--rho=-inf"], 2, "argument --rho"),
+    (["--grid-radius", "nan"], 2, "argument --grid-radius"),
+    (["--grid-radius", "1e308"], 2, "a grid of radius 1e+308 overflows float64"),
+    (["--mode", "shubin", "--grid-radius", "1e308"], 2, "a grid of radius 1e+308"),
+    (["--mode", "shubin", "--weight-t", "1e308"], 4,
+     "the weighted bound (t = 1e+308) is not finite on the grid of radius 4"),
+]
+
+
 class TestErrorExitCodes:
     def test_missing_input_file_is_input_error(self, tmp_path):
         out = tmp_path / "out.json"
@@ -593,6 +608,27 @@ class TestErrorExitCodes:
     def test_bad_truncation_list_is_usage_error(self, tmp_path, oscillator_wick):
         assert main(["garding", "--input", oscillator_wick, "--output",
                      str(tmp_path / "o.json"), "--truncations", "a,b"]) == 2
+
+    @pytest.mark.parametrize("argv, code, message", _FLOAT_OPTION_CASES,
+                             ids=[" ".join(case[0]) for case in _FLOAT_OPTION_CASES])
+    def test_bound_check_float_options_are_finite_and_in_range(self, tmp_path, capsys,
+                                                               oscillator_wick, argv, code,
+                                                               message):
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bound-check", "--input", oscillator_wick, "--output", str(out),
+                         *argv]) == code
+        assert caught == []
+        assert message in self._error(capsys, "usage" if code == 2 else "numerical")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_report_write_is_usage_error(self, capsys, oscillator_wick, fmt):
+        assert main(["garding", "--input", oscillator_wick, "--output", "/dev/full",
+                     "--truncations", "2,4", "--format", fmt]) == 2
+        assert "cannot write output file /dev/full" in self._error(capsys, "usage")
 
     @pytest.mark.parametrize("mode", [["--mode", "gs", "--direction", "gain"],
                                       ["--mode", "shubin"]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickops.core import (
     FOCK,
@@ -12,6 +13,8 @@ from wickops.core import (
     NumericalError,
     UsageError,
     _basis_array,
+    _rank_table,
+    basis_size,
     enumerate_basis,
     expansion_inner,
     gauss_hermite,
@@ -93,6 +96,31 @@ class TestEnumerateBasis:
         assert np.array_equal(cols, np.array(enumerate_basis(d, n)))
         with pytest.raises(ValueError):
             cols[0, 0] = 1
+
+
+class TestBasisSizeAndRank:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(11))
+    def test_size_is_the_basis_length(self, d, n):
+        assert basis_size(d, n) == len(enumerate_basis(d, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10), st.integers(0, 4))
+    def test_rank_table_gives_each_enumerated_position(self, d, n, extra):
+        # rows of degree <= n ranked with the table of a larger top, as
+        # matrix assembly does for its codomain
+        basis = np.array(enumerate_basis(d, n)).reshape(-1, d)
+        suffix = np.cumsum(basis[:, ::-1], axis=1)[:, ::-1]
+        ranks = _rank_table(d, n + extra)[suffix, np.arange(d)].sum(axis=1)
+        assert ranks.tolist() == list(range(len(basis)))
+
+    def test_rank_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            _rank_table(3, 4)[1, 1] = 0
+
+    @pytest.mark.parametrize("cached", [enumerate_basis, _basis_array, _rank_table])
+    def test_basis_caches_are_bounded(self, cached):
+        assert cached.cache_info().maxsize is not None
 
 
 def double_factorial_moment(k):

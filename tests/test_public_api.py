@@ -30,10 +30,12 @@ EXPORTS = {
     "DecayFit", "GardingReport", "classify_decay", "fit_norm_growth", "garding_check",
 }
 
-# deleted: test-only wrappers, and the list-of-pairs grid and JSON helpers
+# deleted: test-only wrappers, the list-of-pairs grid and JSON helpers, the
+# basis index dict (positions come from enumerate_basis or the rank table) and
+# the falling factorials (math.perm)
 DELETED = ("FockPoint", "bilinear_pairing", "sesquilinear_pairing", "wick_kernel",
            "inverse_bargmann_coeff", "matrix_apply_at_point", "quantization_matrix",
-           "_stack_grid", "_terms_from_json")
+           "_stack_grid", "_terms_from_json", "basis_index_map", "_falling", "_falling_multi")
 
 MODULES = [importlib.import_module(f"wickops.{info.name}")
            for info in pkgutil.iter_modules(wickops.__path__)]

@@ -10,16 +10,16 @@ import pytest
 from wickops.analysis import fit_norm_growth, garding_check
 from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
                               fock_inner_quadrature, gaussian_plane_rule, reproducing_quadrature)
-from wickops.cli import EXIT_INPUT, EXIT_USAGE, main
-from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, UsageError,
-                          enumerate_basis, gauss_hermite, tensor_rule)
+from wickops.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_USAGE, main
+from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, NumericalError,
+                          UsageError, basis_size, enumerate_basis, gauss_hermite, tensor_rule)
 from wickops.expansion import diagonal_derivative_symbol, remainder_symbol
 from wickops.hermite import (CREATION, LadderKind, apply_hermite_operator, apply_ladder,
                              hermite_coefficients, hermite_function, norm_growth_probe,
                              synthesize)
 from wickops.symbols import (OperatorMatrix, RealSymbol, ShubinWeight, WickSymbol, kn_matrix,
-                             shubin_estimate_check, symbol_bound_check, wick_apply_quadrature,
-                             wick_matrix)
+                             pair_grid, shubin_estimate_check, symbol_bound_check,
+                             wick_apply_quadrature, wick_matrix)
 
 OSC = WickSymbol(1, {((1,), (1,)): 1.0})
 POINT = WickSymbol(1, {((1,), (1,)): 1.0}, point_symbol=True)
@@ -32,7 +32,7 @@ GRID = (np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex))
 EMPTY_GRID = (np.zeros((0, 1), dtype=complex), np.zeros((0, 1), dtype=complex))
 GAUSSIAN = {"dimension": 1, "expression": "exp(-x0**2 / 2)"}
 
-EXIT = {UsageError: EXIT_USAGE, InputDataError: EXIT_INPUT}
+EXIT = {UsageError: EXIT_USAGE, InputDataError: EXIT_INPUT, NumericalError: EXIT_NUMERICAL}
 
 # (id, library call or None, exception, message part, None or the CLI input
 # and arguments that reach the same check)
@@ -41,6 +41,10 @@ REFUSALS = [
     ("enumerate_basis-dimension", lambda: enumerate_basis(0, 2), UsageError,
      "dimension must be >= 1", None),
     ("enumerate_basis-degree", lambda: enumerate_basis(1, -1), UsageError,
+     "degree bound must be >= 0", None),
+    ("basis_size-dimension", lambda: basis_size(0, 2), UsageError,
+     "dimension must be >= 1", None),
+    ("basis_size-degree", lambda: basis_size(2, -1), UsageError,
      "degree bound must be >= 0", None),
     ("gauss_hermite-order", lambda: gauss_hermite(0), UsageError,
      "quadrature order must be >= 1",
@@ -83,6 +87,10 @@ REFUSALS = [
      "evaluate_fock expects a fock-side expansion", None),
     ("gaussian_plane_rule-orders", lambda: gaussian_plane_rule(0, 4), UsageError,
      "quadrature orders must be >= 1", None),
+    ("gaussian_plane_rule-radial", lambda: gaussian_plane_rule(1001, 1), UsageError,
+     "radial order 1001 is over the budget of 1000", None),
+    ("gaussian_plane_rule-nodes", lambda: gaussian_plane_rule(1000, 1001), UsageError,
+     "a 1000 x 1001 plane rule has 1001000 nodes, over the budget of 1000000", None),
     ("fock_inner_quadrature-side", lambda: fock_inner_quadrature(F_H, F_H), UsageError,
      "fock_inner_quadrature expects fock-side expansions", None),
     ("fock_inner_quadrature-dimension", lambda: fock_inner_quadrature(F_F2, F_F2), UsageError,
@@ -128,6 +136,13 @@ REFUSALS = [
      lambda: shubin_estimate_check(POINT, ShubinWeight(2.0), 1, 0, GRID), UsageError,
      "Shubin estimates apply to standard Wick symbols",
      (POINT.to_json_dict(), ["bound-check", "--mode", "shubin"])),
+    ("shubin_estimate_check-weight",
+     lambda: shubin_estimate_check(OSC, ShubinWeight(1e308), 0, 0, pair_grid(1, 4.0, 3)),
+     NumericalError, "the weighted bound (t = 1e+308) is not finite on the grid of radius 4",
+     (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--weight-t", "1e308"])),
+    ("pair_grid-radius", lambda: pair_grid(1, 1e308, 3), UsageError,
+     "a grid of radius 1e+308 overflows float64",
+     (OSC.to_json_dict(), ["bound-check", "--grid-radius", "1e308"])),
     ("shubin_estimate_check-grid",
      lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 0, EMPTY_GRID), UsageError,
      "bound check requires a non-empty grid", None),

@@ -19,7 +19,6 @@ from wickops.core import (
     CoefficientExpansion,
     MultiIndex,
     UsageError,
-    basis_index_map,
     enumerate_basis,
 )
 from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder, synthesize
@@ -271,13 +270,18 @@ class TestWeylMatrix:
         assert np.allclose(weyl_matrix(bw, 5).entries, kn_matrix(bk, 5).entries)
 
 
+def _basis_index(d, n):
+    """Position of each multi-index in enumerate_basis(d, n)."""
+    return {alpha: i for i, alpha in enumerate(enumerate_basis(d, n))}
+
+
 def _loop_matrix(symbol, n_in, antiwick):
     """Reference Wick / anti-Wick matrix by per-column loops with exact integer
     factorials: the term (p, q) sends e_g to
     top!/(top-q)! sqrt((g+p-q)!/g!) e_{g+p-q}, top = g (Wick) or g + p (anti-Wick)."""
     d = symbol.dimension
     n_out = n_in + max((p.degree() for p, _ in symbol.terms), default=0)
-    out_index = basis_index_map(d, n_out)
+    out_index = _basis_index(d, n_out)
     basis_in = enumerate_basis(d, n_in)
     M = np.zeros((len(out_index), len(basis_in)), dtype=complex)
     for (p, q), c in symbol.terms.items():
@@ -298,7 +302,7 @@ def _fock_table_loop(p, q, L, antiwick):
     for g in range(max(0, q - p), min(L, L + q - p)):
         top = g + p if antiwick else g
         if top >= q:
-            T[g + p - q, g] = symbols._falling(top, q) * math.sqrt(
+            T[g + p - q, g] = math.perm(top, q) * math.sqrt(
                 math.factorial(g + p - q) / math.factorial(g))
     return T
 
@@ -528,7 +532,7 @@ class TestAdjoint:
 def _ladder_dense(d, n, kind, j):
     """One ladder factor as a dense matrix on the hermite basis of degree <= n,
     column by column through apply_ladder (images past degree n dropped)."""
-    index = basis_index_map(d, n)
+    index = _basis_index(d, n)
     M = np.zeros((len(index), len(index)))
     for gamma, col in index.items():
         image = apply_ladder(CoefficientExpansion(d, HERMITE, {gamma: 1.0}),
@@ -546,7 +550,7 @@ def _word_average_matrix(b, n_in):
     momenta (Kohn-Nirenberg); x = (A+ + A)/2 and D = -i(A - A+)/2."""
     d = b.dimension
     n_out = n_in + b.total_degree
-    size = len(basis_index_map(d, n_out))
+    size = len(enumerate_basis(d, n_out))
     factors = {}
     for j in range(d):
         up, down = (_ladder_dense(d, n_out, kind, j) for kind in (CREATION, ANNIHILATION))
@@ -700,6 +704,16 @@ class TestShubinEstimateCheck:
         report = shubin_estimate_check(a, weight, 0, 0, pair_grid(1, radius=4, points_per_axis=7))
         assert np.isfinite(report.sup)
         assert report.sup < 50.0
+
+    def test_derivative_of_mixed_terms(self):
+        # each coordinate of alpha and of beta takes its own falling factorial:
+        # d_z^(1,0) dbar_w^(0,1) of z^(3,1) conj(w)^(0,2) is 3 * 2 z^(2,1) conj(w)^(0,1),
+        # and the term with z^(0,1) has no z_0 to differentiate
+        a = WickSymbol(2, {((3, 1), (0, 2)): 1.0, ((0, 1), (2, 2)): 5.0,
+                           ((1, 2), (1, 1)): 2j})
+        assert a.derivative((1, 0), (0, 1)).terms == {((2, 1), (0, 1)): 6.0,
+                                                      ((0, 2), (1, 0)): 2j}
+        assert a.derivative((2, 1), (0, 2)).terms == {((1, 0), (0, 0)): 6.0 * 1 * 2}
 
     def test_exact_derivative_order_one_one(self):
         a = WickSymbol(1, {((1,), (1,)): 2.0, ((0,), (0,)): 1.0})
