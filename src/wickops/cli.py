@@ -33,6 +33,7 @@ from .core import (
     UsageError,
     expansion_inner,
     gauss_hermite,
+    json_int,
 )
 from .hermite import hermite_coefficients, synthesize
 from .bargmann import (
@@ -121,7 +122,7 @@ def _emit(payload, args, csv_lines=None):
 # The stdlib's C encoder runs only without indent.  So _write_json fills each
 # piece of up to _PIECE list items into one indented template, with texts the
 # C encoder spells in one call: the piece's scalars, split on ", " (a piece
-# qualifies only if it holds no string), or a float array's distinct values.
+# qualifies only if it holds no string), or a float array's unspelled values.
 # Other pieces go item by item; each value is one write, with the `head` text
 # before it.  The encoder is built once, as json.JSONEncoder() would build it
 # on every call, minus the circular-reference markers: no state is kept.
@@ -136,6 +137,7 @@ def _compact(obj) -> str:
 
 _PIECE = 1024
 _SCALARS = (int, float, type(None))
+_SPELLINGS = _PIECE  # most texts a float array's memo keeps, so that it streams
 
 
 def _write_json(fh, obj):
@@ -181,26 +183,29 @@ def _write_list(write, items, level, head):
         return
     indent = "\n" + "  " * (level + 1)
     sep = head + "[" + indent
-    for start in range(0, len(items), _PIECE):
-        piece = items[start:start + _PIECE]
-        text = _filled_piece(piece, indent)
-        if text is not None:
+    if isinstance(items, np.ndarray):
+        template = _template(items.shape[1] if items.ndim == 2 else None, indent)
+        for text in map(("," + indent).join, _float_pieces(items, template)):
             write(sep + text)
             sep = "," + indent
-            continue
-        for item in piece:
-            _write_value(write, item, level + 1, sep)
-            sep = "," + indent
+    else:
+        for start in range(0, len(items), _PIECE):
+            piece = items[start:start + _PIECE]
+            text = _filled_piece(piece, indent)
+            if text is not None:
+                write(sep + text)
+                sep = "," + indent
+                continue
+            for item in piece:
+                _write_value(write, item, level + 1, sep)
+                sep = "," + indent
     write("\n" + "  " * level + "]")
 
 
 def _filled_piece(items, indent):
-    """The piece as one template filled with its scalars' texts, if it is a
-    float array's or its items are all scalars, all rows of n scalars or all
-    flat records (same keys, each a scalar or a scalar list of fixed length)."""
-    if isinstance(items, np.ndarray):
-        layout, texts = items.shape[1] if items.ndim == 2 else None, _float_texts(items)
-        return ("," + indent).join([_template(layout, indent)] * len(items)) % tuple(texts)
+    """The piece as one template filled with its scalars' texts, if its items
+    are all scalars, all rows of n scalars or all flat records (same keys,
+    each a scalar or a scalar list of fixed length)."""
     first = items[0]
     if type(first) is list and first:
         # one row needs no check beyond the first item's
@@ -251,26 +256,44 @@ def _template(layout, indent):
     return "{" + inner + ("," + inner).join(fields) + indent + "}"
 
 
-def _float_texts(values):
-    """The C encoder's texts of a float64 (or complex128, as re, im) array's
-    values in C order, each distinct bit pattern spelled once."""
-    bits = np.ascontiguousarray(values).view(np.uint64).ravel()
-    spots = np.flatnonzero(bits)  # +0.0 is the one all-zero pattern
-    patterns = bits[spots].tolist()
-    distinct = np.array(list(dict.fromkeys(patterns)), dtype=np.uint64)
-    spelled = dict(zip(distinct.tolist(),
-                       _compact(distinct.view(np.float64).tolist())[1:-1].split(", ")))
-    texts = ["0.0"] * bits.size
-    for spot, pattern in zip(spots.tolist(), patterns):
-        texts[spot] = spelled[pattern]
+def _float_pieces(values, template):
+    """The rows' texts (_piece_texts) of each piece of up to _PIECE rows of a
+    float64 array, or of its values if 1-d; the pieces share one memo, and a
+    piece's other temporaries go when _piece_texts returns."""
+    rows = np.ascontiguousarray(values).view(np.uint64).reshape(len(values), -1)
+    zero, memo = template % (("0.0",) * rows.shape[1]), {}
+    return (_piece_texts(rows[start:start + _PIECE], template, zero, memo)
+            for start in range(0, len(rows), _PIECE))
+
+
+def _piece_texts(piece, template, zero, memo):
+    """Texts of rows of float64 bit patterns: zero for a row of zero bits only
+    (+0.0; -0.0 has its sign bit set), else template filled with the C
+    encoder's texts, spelled in one call for the patterns not in memo.  A
+    memo over _SPELLINGS texts is emptied first."""
+    live = functools.reduce(np.bitwise_or, piece.T) != 0
+    bits = piece[live].ravel().tolist()
+    if len(memo) > _SPELLINGS:
+        memo.clear()
+    missing = list(set(bits).difference(memo))
+    memo.update(zip(missing, _compact(
+        np.array(missing, dtype=np.uint64).view(np.float64).tolist())[1:-1].split(", ")))
+    # the live rows in one fill, joined by ";", which no template or text holds
+    filled = ";".join([template] * (len(bits) // piece.shape[1])) % tuple(map(memo.get, bits))
+    texts = [zero] * len(piece)
+    for i, text in zip(np.flatnonzero(live).tolist(), filled.split(";")):
+        texts[i] = text
     return texts
 
 
 def _matrix_csv(M: OperatorMatrix):
-    """CSV lines of a matrix: a header, then row,col,re,im per entry in C order."""
-    rows, cols = (map(str, ix.ravel().tolist()) for ix in np.indices(M.entries.shape))
-    texts = _float_texts(M.entries)
-    return ["row,col,re,im", *map(",".join, zip(rows, cols, texts[0::2], texts[1::2]))]
+    """CSV lines of a matrix: a header, then row,col,re,im per entry in C order,
+    up to _PIECE entries' lines to an item."""
+    cols = [f",{j}," for j in range(M.entries.shape[1])]
+    heads = [str(i) + col for i in range(M.entries.shape[0]) for col in cols]
+    pieces = zip(range(0, len(heads), _PIECE), _float_pieces(M.to_json_dict()["entries"], "%s,%s"))
+    return ["row,col,re,im", *("\n".join(map(operator.add, heads[start:start + _PIECE], texts))
+                               for start, texts in pieces)]
 
 
 # The expression grammar: float64 numbers, x0 .. x{d-1}, pi and e, the binary
@@ -332,8 +355,8 @@ def _expression_callback(expr: str, dimension: int):
 def cmd_hermite_coeffs(args):
     data = _load_json(args.input)
     try:
-        d = int(data.get("dimension", 1))
-        degree = args.degree if args.degree is not None else int(data.get("degree", 8))
+        d = json_int(data.get("dimension", 1))
+        degree = args.degree if args.degree is not None else json_int(data.get("degree", 8))
     except (TypeError, ValueError) as exc:
         raise InputDataError(f"bad dimension or degree in input JSON: {exc}") from exc
     if d < 1:

@@ -29,6 +29,10 @@ MAX_QUAD_NODES = 1_000_000
 # float64, which gauss_hermite refuses too.
 MAX_QUAD_ORDER = 1000
 
+# Largest table of powers built, in entries: power_tables builds one complex
+# (points x (degree + 1)) table per coordinate, 160 MB at this size.
+MAX_POWER_ENTRIES = 10_000_000
+
 __all__ = [
     "CalculusError",
     "UsageError",
@@ -264,14 +268,31 @@ def table_sum(coeffs, exponents, tables) -> np.ndarray:
 
 def power_tables(points, top: int) -> list:
     """The (n, top + 1) tables points[:, j] ** (0 .. top) of an (n, d) batch
-    of complex points, one per coordinate, for table_sum."""
+    of complex points, one per coordinate, for table_sum.  Tables over
+    MAX_POWER_ENTRIES entries are refused before allocation."""
+    size = points.shape[0] * (top + 1)
+    if size > MAX_POWER_ENTRIES:
+        raise UsageError(f"powers of {points.shape[0]} points up to degree {top} take {size} "
+                         f"entries, over the budget of {MAX_POWER_ENTRIES}; lower the degree "
+                         f"or use fewer points")
     return [points[:, j, None] ** np.arange(top + 1) for j in range(points.shape[1])]
+
+
+def json_int(value) -> int:
+    """Integer read from input JSON: an int, or a float of integral value.  A
+    bool, a non-finite or fractional number and any other type raise
+    ValueError, which each reader reports as an input-data error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def json_index(entries) -> MultiIndex:
     """Multi-index read from input JSON; a bad entry is an input-data error."""
     try:
-        return MultiIndex(entries)
+        return MultiIndex(map(json_int, entries))
     except (UsageError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad multi-index {entries!r} in input JSON: {exc}") from exc
 
@@ -358,7 +379,7 @@ class CoefficientExpansion:
         try:
             coeffs = {json_index(entry["index"]): json_value(entry["value"])
                       for entry in data["coeffs"]}
-            return cls(int(data["dimension"]), data["side"], coeffs)
+            return cls(json_int(data["dimension"]), data["side"], coeffs)
         except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
             raise InputDataError(f"malformed expansion JSON: {exc}") from exc
 

@@ -33,6 +33,7 @@ from .core import (
     enumerate_basis,
     grlex_key,
     json_index,
+    json_int,
     json_value,
     power_tables,
     table_sum,
@@ -99,7 +100,7 @@ class _TermSymbol:
                                      f"{', '.join(cls._KINDS)}")
             terms = {(json_index(t["alpha"]), json_index(t["beta"])): json_value(t["value"])
                      for t in data["terms"]}
-            return cls(int(data["dimension"]), terms=terms, **cls._KINDS[kind])
+            return cls(json_int(data["dimension"]), terms=terms, **cls._KINDS[kind])
         except (KeyError, TypeError, ValueError, IndexError, UsageError) as exc:
             raise InputDataError(f"malformed symbol JSON: {exc}") from exc
 
@@ -137,11 +138,12 @@ class WickSymbol(_TermSymbol):
             raise UsageError("Wick symbols take two arguments (z, w)")
         z, z_single = _as_complex_points(z, self.dimension)
         w, w_single = _as_complex_points(w, self.dimension)
+        # the tables' budget is checked before any exponent becomes a C integer
+        top = max(map(max, chain.from_iterable(self.terms)), default=0)
+        tables = power_tables(z, top) + power_tables(np.conj(w), top)
         exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2 * self.dimension)
-        top = int(exponents.max(initial=0))
         # a single z or w broadcasts against the other's batch in table_sum
-        values = table_sum(list(self.terms.values()), exponents,
-                           power_tables(z, top) + power_tables(np.conj(w), top))
+        values = table_sum(list(self.terms.values()), exponents, tables)
         return complex(values[0]) if z_single and w_single else values
 
     def diagonal_value(self, w):
@@ -524,9 +526,10 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
         n_probe = deg
     if n_probe < deg:
         raise UsageError(f"n_probe {n_probe} below symbol degree {deg}")
-    d = b.dimension
-    keys, n_out = enumerate_symbol_keys(d, deg), n_probe + deg
-    n_cols = _check_matrix_size(d, n_probe, n_out, len(keys))
+    d, n_out = b.dimension, n_probe + deg
+    # checked before the basis_size(2 * d, deg) keys are listed
+    n_cols = _check_matrix_size(d, n_probe, n_out, basis_size(2 * d, deg))
+    keys = enumerate_symbol_keys(d, deg)
     A = np.zeros((len(keys), basis_size(d, n_out) * n_cols), dtype=complex).T
     for key, row, col, factor in _entries(keys, d, n_probe, n_out,
                                           lambda p, q: _fock_table(p, q, n_out + 1, False)):
@@ -706,6 +709,9 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
     with np.errstate(over="ignore"):
         base = gauss * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
     _require_finite(base, f"the weighted bound (t = {weight.t:g})", z, w)
+    if not np.all(base > 0):
+        raise NumericalError(f"the weight (t = {weight.t:g}) underflows to 0 on the grid; "
+                             f"use a larger t or a smaller grid")
     plus = japanese_bracket(z + w)
     minus = japanese_bracket(z - w)
     details = []

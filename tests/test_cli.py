@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from wickops.cli import _write_json, main
 from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
 from wickops.expansion import decompose
 from wickops.hermite import synthesize
-from wickops.symbols import (MAX_MATRIX_ENTRIES, RealSymbol, WickSymbol,
+from wickops.symbols import (MAX_MATRIX_ENTRIES, OperatorMatrix, RealSymbol, WickSymbol,
                              real_to_wick_symbol, weyl_matrix, wick_matrix)
 
 
@@ -333,6 +334,43 @@ _ARRAY_TREES = st.recursive(
     max_leaves=12)
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """Complex matrices of 1,000-3,000 entries as the quantization matrices
+    are: mostly +0.0 entries, a few values repeated across the writer's
+    pieces (NaN, infinities and subnormals among them), -0.0 alone in an
+    otherwise zero entry, and a whole piece of zero entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(25, 60)), draw(st.integers(40, 50))
+    values = np.array(draw(st.lists(_ARRAY_VALUES, min_size=1, max_size=6)))
+    pairs = np.zeros((rows * cols, 2))
+    spots = rng.random(pairs.shape) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    pairs[spots] = rng.choice(values, spots.sum())
+    pairs[1024:2048] = 0.0
+    pairs[rng.integers(len(pairs)), :] = draw(st.sampled_from([[-0.0, 0.0], [0.0, -0.0]]))
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _csv_per_entry(M):
+    """The CSV report of a matrix, built one entry at a time; floats are
+    spelled as in JSON reports, repr but NaN and Infinity."""
+    rows = [("row", "col", "re", "im")]
+    for i in range(M.entries.shape[0]):
+        for j in range(M.entries.shape[1]):
+            v = M.entries[i, j]
+            rows.append((i, j, json.dumps(float(v.real)), json.dumps(float(v.imag))))
+    want = "# wickops " + wickops.__version__ + "\n"
+    return want + "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+
+
+class _Sink:
+    """A report file that counts the characters written and keeps none."""
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
 def _repeated(rows, values):
     rng = np.random.default_rng(rows)
     return rng.choice(np.array(values), size=(rows, 2))
@@ -397,6 +435,29 @@ class TestReportWriter:
         _write_json(fh, {"entries": entries})
         assert sum(writes) == len(_stdlib_report({"entries": entries.tolist()}))
         assert max(writes) < sum(writes) / 2
+
+    @given(_sparse_matrices(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_matrices_match_indented_json_dump_and_per_entry_csv(self, entries, flat):
+        M = OperatorMatrix(1, entries.shape[1] - 1, entries.shape[0] - 1, HERMITE, entries)
+        pairs = M.to_json_dict()["entries"]
+        tree = {"entries": pairs.ravel() if flat else pairs}
+        _assert_same_text(_written(tree), _stdlib_report(_as_lists(tree)))
+        csv = "".join(line + "\n" for line in wickops.cli._matrix_csv(M))
+        _assert_same_text("# wickops " + wickops.__version__ + "\n" + csv, _csv_per_entry(M))
+
+    def test_dense_array_is_written_in_bounded_memory(self):
+        # the memo of spelled floats is capped: a dense array of distinct
+        # values holds about one piece's texts at a time, never all of them
+        entries = np.random.default_rng(0).standard_normal((50_000, 2))
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            _write_json(sink, {"entries": entries})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.length / 4
 
     def test_non_str_key_is_refused(self):
         with pytest.raises(TypeError):
@@ -473,15 +534,7 @@ class TestReportBytes:
         assert main([command, "--input", report_inputs[source], "--output", str(out),
                      "--degree", str(degree), "--format", "csv"]) == 0
         M = builder(loader(read_json(Path(report_inputs[source]))), degree)
-        # reference: one entry at a time
-        rows = [("row", "col", "re", "im")]
-        for i in range(M.entries.shape[0]):
-            for j in range(M.entries.shape[1]):
-                v = M.entries[i, j]
-                rows.append((i, j, repr(float(v.real)), repr(float(v.imag))))
-        want = "# wickops " + wickops.__version__ + "\n"
-        want += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
-        _assert_same_text(out.read_text(), want)
+        _assert_same_text(out.read_text(), _csv_per_entry(M))
 
 
 class TestOutputDirEnv:
@@ -604,6 +657,47 @@ class TestErrorExitCodes:
             data[field][0]["value"][1] = bad
             with pytest.raises(InputDataError):
                 cls.from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [True, 2.7, float("nan"), float("inf"), "2"])
+    def test_every_json_reader_refuses_non_integer_sizes(self, bad):
+        readers = [
+            (CoefficientExpansion, CoefficientExpansion(1, HERMITE, {(1,): 1.0}), "coeffs",
+             "index"),
+            (WickSymbol, WickSymbol(1, {((1,), (0,)): 1.0}), "terms", "alpha"),
+            (RealSymbol, RealSymbol(1, "weyl", {((1,), (0,)): 1.0}), "terms", "beta"),
+        ]
+        for cls, obj, field, key in readers:
+            data = obj.to_json_dict()
+            data["dimension"] = bad
+            with pytest.raises(InputDataError, match="is not an integer"):
+                cls.from_json_dict(data)
+            data = obj.to_json_dict()
+            data[field][0][key][0] = bad
+            with pytest.raises(InputDataError, match="is not an integer"):
+                cls.from_json_dict(data)
+
+    @pytest.mark.parametrize("argv,text", [
+        (["bound-check"], '{"dimension": 1e400, "kind": "wick", "terms": []}'),
+        (["wick-matrix"], '{"dimension": 1e400, "kind": "wick", "terms": []}'),
+        (["garding", "--truncations", "4"], '{"dimension": 1e400, "kind": "wick", "terms": []}'),
+        (["hermite-coeffs"], '{"dimension": 1e400, "expression": "x0"}'),
+        (["hermite-coeffs"], '{"dimension": 1, "degree": 2.5, "expression": "x0"}'),
+        (["classify"], '{"dimension": -1e400, "side": "hermite", "coeffs": []}'),
+        (["wick-matrix"], '{"dimension": true, "kind": "wick", '
+                          '"terms": [{"alpha": [1], "beta": [1], "value": [1.0, 0.0]}]}'),
+        (["wick-matrix"], '{"dimension": 2.7, "kind": "wick", "terms": []}'),
+        (["bound-check"], '{"dimension": 1, "kind": "wick", '
+                          '"terms": [{"alpha": [1e400], "beta": [1], "value": [1.0, 0.0]}]}'),
+        (["classify"], '{"dimension": 1, "side": "hermite", '
+                       '"coeffs": [{"index": [2.5], "value": [1.0, 0.0]}]}'),
+    ])
+    def test_non_integer_size_is_input_error(self, tmp_path, capsys, argv, text):
+        inp = tmp_path / "in.json"
+        inp.write_text(text)
+        assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not an integer" in json.loads(err)["error"]["message"]
 
     def test_bad_truncation_list_is_usage_error(self, tmp_path, oscillator_wick):
         assert main(["garding", "--input", oscillator_wick, "--output",

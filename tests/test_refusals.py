@@ -11,15 +11,17 @@ from wickops.analysis import fit_norm_growth, garding_check
 from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
                               fock_inner_quadrature, gaussian_plane_rule, reproducing_quadrature)
 from wickops.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_USAGE, main
+from wickops import symbols
 from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, NumericalError,
-                          UsageError, basis_size, enumerate_basis, gauss_hermite, tensor_rule)
+                          UsageError, basis_size, enumerate_basis, gauss_hermite, power_tables,
+                          tensor_rule)
 from wickops.expansion import diagonal_derivative_symbol, remainder_symbol
 from wickops.hermite import (CREATION, LadderKind, apply_hermite_operator, apply_ladder,
                              hermite_coefficients, hermite_function, norm_growth_probe,
                              synthesize)
 from wickops.symbols import (OperatorMatrix, RealSymbol, ShubinWeight, WickSymbol, kn_matrix,
-                             pair_grid, shubin_estimate_check, symbol_bound_check,
-                             wick_apply_quadrature, wick_matrix)
+                             pair_grid, real_to_wick_symbol, shubin_estimate_check,
+                             symbol_bound_check, wick_apply_quadrature, wick_matrix)
 
 OSC = WickSymbol(1, {((1,), (1,)): 1.0})
 POINT = WickSymbol(1, {((1,), (1,)): 1.0}, point_symbol=True)
@@ -31,6 +33,14 @@ M = wick_matrix(OSC, 1)
 GRID = (np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex))
 EMPTY_GRID = (np.zeros((0, 1), dtype=complex), np.zeros((0, 1), dtype=complex))
 GAUSSIAN = {"dimension": 1, "expression": "exp(-x0**2 / 2)"}
+# x^300: to-wick would solve for C(302, 2) = 45,451 symbol coefficients
+X300 = RealSymbol(1, "weyl", {((300,), (0,)): 1.0})
+
+
+def _wick_power(exponent):
+    """The Wick symbol z^exponent conj(w) as JSON, the exponent as given."""
+    return {"dimension": 1, "kind": "wick",
+            "terms": [{"alpha": [exponent], "beta": [1], "value": [1.0, 0.0]}]}
 
 EXIT = {UsageError: EXIT_USAGE, InputDataError: EXIT_INPUT, NumericalError: EXIT_NUMERICAL}
 
@@ -46,6 +56,11 @@ REFUSALS = [
      "dimension must be >= 1", None),
     ("basis_size-degree", lambda: basis_size(2, -1), UsageError,
      "degree bound must be >= 0", None),
+    ("power_tables-budget", lambda: power_tables(np.zeros((625, 1), dtype=complex), 10**5),
+     UsageError, "take 62500625 entries, over the budget of 10000000",
+     (_wick_power(10**5), ["bound-check", "--mode", "gs"])),
+    ("power_tables-budget-huge-exponent", None, UsageError,
+     "up to degree 100000000000000000000 take", (_wick_power(1e20), ["bound-check"])),
     ("gauss_hermite-order", lambda: gauss_hermite(0), UsageError,
      "quadrature order must be >= 1",
      (F_H.to_json_dict(), ["bargmann", "--cross-check", "1", "--quad-order", "0"])),
@@ -140,6 +155,16 @@ REFUSALS = [
      lambda: shubin_estimate_check(OSC, ShubinWeight(1e308), 0, 0, pair_grid(1, 4.0, 3)),
      NumericalError, "the weighted bound (t = 1e+308) is not finite on the grid of radius 4",
      (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--weight-t", "1e308"])),
+    ("shubin_estimate_check-weight-underflow",
+     lambda: shubin_estimate_check(OSC, ShubinWeight(-800.0), 0, 0, pair_grid(1, 4.0, 3)),
+     NumericalError, "the weight (t = -800) underflows to 0 on the grid",
+     (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--weight-t=-800"])),
+    ("shubin_estimate_check-weight-underflow-extreme", None, NumericalError,
+     "the weight (t = -1e+308) underflows to 0 on the grid",
+     (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--weight-t=-1e308"])),
+    ("real_to_wick_symbol-budget", lambda: real_to_wick_symbol(X300), UsageError,
+     "(45451 x 601 x 301 matrix, 601 x 601 coordinate tables) are over the budget",
+     (X300.to_json_dict(), ["to-wick"])),
     ("pair_grid-radius", lambda: pair_grid(1, 1e308, 3), UsageError,
      "a grid of radius 1e+308 overflows float64",
      (OSC.to_json_dict(), ["bound-check", "--grid-radius", "1e308"])),
@@ -181,3 +206,13 @@ def test_refusal(call, error, message, cli, tmp_path, capsys):
                      *argv[1:]]) == EXIT[error]
         assert message in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not (tmp_path / "out.json").exists()
+
+
+def test_to_wick_budget_comes_before_the_symbol_keys(monkeypatch):
+    # x^99999 has C(100001, 2), about 5e9, symbol keys: listing them before the
+    # budget check ran past any time limit
+    def listed(d, degree):
+        raise AssertionError(f"{basis_size(2 * d, degree)} keys listed before the budget check")
+    monkeypatch.setattr(symbols, "enumerate_symbol_keys", listed)
+    with pytest.raises(UsageError, match="over the budget"):
+        real_to_wick_symbol(RealSymbol(1, "weyl", {((99999,), (0,)): 1.0}))
