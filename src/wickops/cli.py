@@ -324,18 +324,18 @@ def _evaluate(node, names):
                      f"expression grammar")
 
 
-def _expression_callback(expr: str, dimension: int):
-    """Turn an expression in x0..x{d-1} into a vectorized callback.
+def _expression_callback(expr: str):
+    """Turn an expression in x0..x{d-1} into a vectorized callback on (n, d)
+    points.
 
     The text is parsed, never run: _evaluate walks the syntax tree and allows
     only the grammar above.  Anything else, such as an attribute, a
-    subscript or another name, is an input-data error.
+    subscript or another name, is an input-data error.  The names x0.. are
+    made from the points, so that none exists before the rule is built.
     """
-    variables = [f"x{j}" for j in range(dimension)]
-
     def f(points):
         names = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
-        names.update((name, points[:, j]) for j, name in enumerate(variables))
+        names.update((f"x{j}", points[:, j]) for j in range(points.shape[1]))
         try:
             # a value that overflows, divides by zero or is not a number
             # fails here, where the message can name the expression
@@ -362,7 +362,7 @@ def cmd_hermite_coeffs(args):
     if d < 1:
         raise InputDataError(f"dimension must be >= 1, got {d}")
     if "expression" in data:
-        f = _expression_callback(data["expression"], d)
+        f = _expression_callback(data["expression"])
     elif "coeffs" in data:
         f = CoefficientExpansion.from_json_dict(data)
     else:

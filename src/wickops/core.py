@@ -24,6 +24,10 @@ FOCK = "fock"
 # and the sampled integrand grow without bound.
 MAX_QUAD_NODES = 1_000_000
 
+# Most coordinates a tensor rule spans: numpy arrays have at most 64 axes,
+# and the rule's node grid and sampled block take one per coordinate.
+MAX_TENSOR_DIMENSION = 64
+
 # Largest 1-d Gauss-Hermite order built, since hermgauss solves an
 # order x order eigenproblem.  Orders from 372 on already give NaN weights in
 # float64, which gauss_hermite refuses too.
@@ -222,10 +226,13 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
 def _tensor_nodes(q: int, d: int) -> int:
     """Node count q^d of the d-fold tensor product of a q-point rule; rules
-    over MAX_QUAD_NODES nodes are refused, so callers check before they
-    allocate anything of that size."""
+    over MAX_QUAD_NODES nodes or MAX_TENSOR_DIMENSION coordinates are refused,
+    so callers check before they allocate anything of that size."""
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
+    if d > MAX_TENSOR_DIMENSION:  # before q^d, an integer of d log2(q) bits
+        raise UsageError(f"a tensor rule in dimension {d} is over the budget of "
+                         f"{MAX_TENSOR_DIMENSION} coordinates")
     n_nodes = q ** d
     if n_nodes > MAX_QUAD_NODES:
         raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "

@@ -49,6 +49,10 @@ WEYL = "weyl"
 # arrays of this length
 MAX_GRID_PAIRS = 1_000_000
 
+# most (derivative order, N) records shubin_estimate_check lists, each one
+# pass over the grid and about 360 bytes of report
+MAX_SHUBIN_DETAILS = 10_000
+
 # largest matrix, 1-d coordinate table or to-wick system built, in entries;
 # _assemble holds the complex matrix and blocks of a quarter of its entries,
 # about twice the matrix's 160 MB at this size
@@ -314,13 +318,16 @@ def _check_matrix_size(d: int, n_in: int, n_out: int, copies: int = 1) -> int:
     return n_cols
 
 
-def _entries(keys, d, n_in, n_out, table):
+def _entries(keys, d, n_in, n_out, diagonals):
     """Non-zero entries (key number, row, col, factor) of the matrices
     prod_j T(alpha_j, beta_j), one per key (alpha, beta), from degrees <= n_in
     to <= n_out, in key order and in blocks of max(M.size / 4, 2^16) entries.
-    table(a, b) is the (L, L) factor of the pair (a, b), L = n_out + 1, indexed
-    [out degree, in degree], kept as its non-zero diagonals k = out - in: one
-    per coordinate sends column g to row g + k, factors in coordinate order."""
+    T(p, q) is the 1-d factor of the pair (p, q), indexed [out degree, in
+    degree], and diagonals(pairs) gives those of a list of pairs as their
+    non-zero diagonals k = out - in: arrays (pair, k, values), ascending in
+    pair and then in k, values[i] being diagonal i on the column degrees
+    0 .. n_in.  One diagonal per coordinate sends column g to row g + k,
+    factors in coordinate order."""
     # columns g, their suffix sums g_j + ... + g_{d-1}, and the closed-form
     # graded rank that turns a row's suffix sums into its position
     cols, below = _basis_array(d, n_in), _rank_table(d, n_out)
@@ -330,17 +337,9 @@ def _entries(keys, d, n_in, n_out, table):
     ranks = np.fromiter(map({e: i for i, e in enumerate(exponent)}.__getitem__, flat), np.intp)
     codes = ranks.reshape(-1, 2, d)[:, 0] * len(exponent) + ranks.reshape(-1, 2, d)[:, 1]
     pairs = sorted(set(codes.ravel().tolist()))
-    tables = np.array([table(*(exponent[r] for r in divmod(code, len(exponent))))
-                       for code in pairs]).reshape(len(pairs), n_out + 1, n_out + 1)
-    # non-zero diagonals of each table on the column degrees g, as (pair, k + n_in)
-    pair, out, g = np.nonzero(tables[:, :, :n_in + 1])
-    kept = np.zeros((len(pairs), n_in + n_out + 1), dtype=bool)
-    kept[pair, out - g + n_in] = True
-    pair, shifted = np.nonzero(kept)
-    out = np.arange(n_in + 1) + shifted[:, None] - n_in
-    values = np.where((out >= 0) & (out <= n_out),
-                      tables[pair[:, None], out.clip(0, n_out), np.arange(n_in + 1)], 0)
-    per_pair = kept.sum(axis=1)
+    pair, offset, values = diagonals([tuple(exponent[r] for r in divmod(code, len(exponent)))
+                                      for code in pairs])
+    per_pair = np.bincount(pair, minlength=len(pairs))
     pair_of = np.searchsorted(pairs, codes)
     count, first = per_pair[pair_of], (np.cumsum(per_pair) - per_pair)[pair_of]
     # each key with each choice of diagonals, the last coordinate's fastest
@@ -350,7 +349,7 @@ def _entries(keys, d, n_in, n_out, table):
     stride = np.ones_like(count)
     stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
     diag = first[key] + local[:, None] // stride[key] % count[key]
-    shift = np.cumsum(shifted[diag][:, ::-1] - n_in, axis=1)[:, ::-1]
+    shift = np.cumsum(offset[diag][:, ::-1], axis=1)[:, ::-1]
     step = max(1, max(basis_size(d, n_out) * len(cols) // 4, 2**16) // len(cols))
     for start in range(0, len(key), step):
         block = diag[start:start + step]
@@ -362,42 +361,53 @@ def _entries(keys, d, n_in, n_out, table):
         yield key[start + i], row, col, factor[i, col]
 
 
-def _assemble(terms, d, n_in, n_out, table, side) -> OperatorMatrix:
+def _assemble(terms, d, n_in, n_out, diagonals, side) -> OperatorMatrix:
     """Matrix of sum c * prod_j T(alpha_j, beta_j) over the terms
-    {(alpha, beta): c}, table as in _entries, scattered with np.add.at in
+    {(alpha, beta): c}, diagonals as in _entries, scattered with np.add.at in
     term order: each entry sums the products a dense per-term sum would."""
     n_cols = _check_matrix_size(d, n_in, n_out)
     M = np.zeros((basis_size(d, n_out), n_cols), dtype=complex)
     c = np.array(list(terms.values()), dtype=complex)
-    for term, row, col, factor in _entries(list(terms), d, n_in, n_out, table):
+    for term, row, col, factor in _entries(list(terms), d, n_in, n_out, diagonals):
         np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
     return OperatorMatrix(d, n_in, n_out, side, M)
 
 
 @lru_cache(maxsize=256)
-def _fock_diagonal(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
-    """Factors of _fock_table(p, q, L, antiwick) on its one non-zero
-    diagonal, on the columns g = max(0, q - p) .. min(L, L + q - p) - 1;
-    cached, so read-only."""
-    diag = np.zeros(max(0, min(L, L + q - p) - max(0, q - p)))
-    for i, g in enumerate(range(max(0, q - p), min(L, L + q - p))):
-        top = g + p if antiwick else g
-        if top >= q:
-            diag[i] = math.perm(top, q) * math.sqrt(math.factorial(g + p - q) / math.factorial(g))
+def _fock_diagonal(p: int, q: int, n_cols: int, antiwick: bool) -> np.ndarray:
+    """The one non-zero diagonal of the 1-d factor of the term (p, q) in the
+    closed forms of wick_matrix and antiwick_matrix,
+    e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q} when top >= q, with
+    top = g (Wick) or g + p (anti-Wick), on the columns
+    g = max(0, q - p) .. n_cols - 1; cached, so read-only.  A factor past
+    float64's range is a NumericalError."""
+    start = max(0, q - p)
+    diag = np.zeros(max(0, n_cols - start))
+    try:
+        for i, g in enumerate(range(start, n_cols)):
+            top = g + p if antiwick else g
+            if top >= q:
+                ratio = math.factorial(g + p - q) / math.factorial(g)
+                diag[i] = math.perm(top, q) * math.sqrt(ratio)
+    except OverflowError:  # an integer too large for a float
+        diag[i] = math.inf
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        raise NumericalError(f"the matrix factor of the term ({p}, {q}) at degree "
+                             f"{start + bad[0]} is past float64's range; lower the degree")
     diag.flags.writeable = False
     return diag
 
 
-def _fock_table(p: int, q: int, L: int, antiwick: bool) -> np.ndarray:
-    """1-d factor of the term (p, q) in the closed forms of wick_matrix and
-    antiwick_matrix: e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q}
-    when top >= q, with top = g (Wick) or g + p (anti-Wick); a fresh (L, L)
-    table around the cached diagonal."""
-    T = np.zeros((L, L))
-    diag = _fock_diagonal(p, q, L, antiwick)
-    # row-major, the diagonal starts at (max(0, p - q), max(0, q - p)) and steps L + 1
-    T.reshape(-1)[max(0, p - q) * L + max(0, q - p)::L + 1][:len(diag)] = diag
-    return T
+def _fock_diagonals(pairs, n_in: int, antiwick: bool):
+    """The Fock factors of the pairs (p, q) as _entries takes them: the one
+    diagonal k = p - q of each, from _fock_diagonal, on the column degrees
+    0 .. n_in."""
+    values = np.zeros((len(pairs), n_in + 1))
+    for row, (p, q) in zip(values, pairs):
+        row[max(0, q - p):] = _fock_diagonal(p, q, n_in + 1, antiwick)
+    offset = np.array([p - q for p, q in pairs], dtype=np.intp)
+    return np.arange(len(pairs)), offset, values
 
 
 def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
@@ -418,7 +428,7 @@ def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
         raise UsageError(f"n_in must be >= 0, got {n_in}")
     n_out = n_in + a.z_degree
     return _assemble(a.terms, a.dimension, n_in, n_out,
-                     lambda p, q: _fock_table(p, q, n_out + 1, False), FOCK)
+                     lambda pairs: _fock_diagonals(pairs, n_in, False), FOCK)
 
 
 def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
@@ -443,7 +453,7 @@ def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
                         point_symbol=True)
     n_out = n_in + max((s.degree() for s, _ in a0.terms), default=0)
     return _assemble(a0.terms, a0.dimension, n_in, n_out,
-                     lambda p, q: _fock_table(p, q, n_out + 1, True), FOCK)
+                     lambda pairs: _fock_diagonals(pairs, n_in, True), FOCK)
 
 
 def _position_momentum(L: int):
@@ -459,6 +469,21 @@ def _position_momentum(L: int):
                     T[n, g] = v.real
     C, A = ladders[CREATION], ladders[ANNIHILATION]
     return (C + A) / 2, -0.5j * (A - C)
+
+
+def _dense_diagonals(pairs, n_in: int, n_out: int, table):
+    """The dense (L, L) factors table(p, q), L = n_out + 1, of the pairs as
+    _entries takes them: their non-zero diagonals on the column degrees
+    0 .. n_in, found in one pass over all pairs."""
+    tables = np.array([table(p, q) for p, q in pairs]).reshape(len(pairs), n_out + 1, n_out + 1)
+    pair, out, g = np.nonzero(tables[:, :, :n_in + 1])
+    kept = np.zeros((len(pairs), n_in + n_out + 1), dtype=bool)
+    kept[pair, out - g + n_in] = True
+    pair, shifted = np.nonzero(kept)
+    out = np.arange(n_in + 1) + shifted[:, None] - n_in
+    values = np.where((out >= 0) & (out <= n_out),
+                      tables[pair[:, None], out.clip(0, n_out), np.arange(n_in + 1)], 0)
+    return pair, shifted - n_in, values
 
 
 def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
@@ -477,7 +502,8 @@ def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
         def table(p, q):
             return sum(math.comb(p, k) * (power(X, k) @ power(D, q) @ power(X, p - k))
                        for k in range(p + 1)) / 2**p
-    return _assemble(b.terms, b.dimension, n_in, n_out, table, HERMITE)
+    return _assemble(b.terms, b.dimension, n_in, n_out,
+                     lambda pairs: _dense_diagonals(pairs, n_in, n_out, table), HERMITE)
 
 
 def kn_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
@@ -532,7 +558,7 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     keys = enumerate_symbol_keys(d, deg)
     A = np.zeros((len(keys), basis_size(d, n_out) * n_cols), dtype=complex).T
     for key, row, col, factor in _entries(keys, d, n_probe, n_out,
-                                          lambda p, q: _fock_table(p, q, n_out + 1, False)):
+                                          lambda pairs: _fock_diagonals(pairs, n_probe, False)):
         A[row * n_cols + col, key] = factor
     quantize = kn_matrix if b.quantization == KOHN_NIRENBERG else weyl_matrix
     rhs = quantize(b, n_probe).embedded(n_out).entries.ravel()
@@ -700,6 +726,12 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
         raise UsageError("Shubin estimates apply to standard Wick symbols")
     if max_order < 0 or n_decay < 0:
         raise UsageError(f"max_order and n_decay must be >= 0, got {max_order} and {n_decay}")
+    d = a.dimension
+    n_details = basis_size(2 * d, max_order) * (n_decay + 1)
+    if n_details > MAX_SHUBIN_DETAILS:
+        raise UsageError(f"{n_details} estimate records (derivative orders <= {max_order} in "
+                         f"dimension {d}, N <= {n_decay}) are over the budget of "
+                         f"{MAX_SHUBIN_DETAILS}; lower the maximum order or n_decay")
     z, w = grid
     if len(z) == 0:
         raise UsageError("bound check requires a non-empty grid")
@@ -714,17 +746,38 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
                              f"use a larger t or a smaller grid")
     plus = japanese_bracket(z + w)
     minus = japanese_bracket(z - w)
+    # d_z^o dbar_w^o' of c z^e conj(w)^e' is perm(e, o) c z^(e - o) conj(w)^(e' - o'):
+    # perm(e, o) = 0 drops the term, and one pair of power tables serves every
+    # order o; each factor is an exact integer, rounded once, as in derivative
+    terms = list(a.terms)
+    keys, orders = enumerate_basis(2 * d, max_order), _basis_array(2 * d, max_order)
+    factor = np.ones((len(keys), len(terms)), dtype=object)
+    for j, column in enumerate(zip(*map(chain.from_iterable, terms))):
+        perms = np.array([[math.perm(e, o) for e in column] for o in range(max_order + 1)],
+                         dtype=object)
+        factor = factor * perms[orders[:, j]]
+    try:
+        coeffs = factor.astype(float) * np.array(list(a.terms.values()), dtype=complex)
+    except OverflowError as exc:
+        raise NumericalError(f"a derivative of order <= {max_order} has a factor over "
+                             f"float64's range; lower the maximum order") from exc
     details = []
-    for alpha, beta in enumerate_symbol_keys(a.dimension, max_order):
-        values = np.abs(a.derivative(alpha, beta).evaluate(z, w))
-        order = alpha.degree() + beta.degree()
-        for N in range(n_decay + 1):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                ratio = values / (base * plus ** (-weight.rho * order) * minus ** (-N))
-            _require_finite(ratio, "the estimate ratio", z, w)
-            i = int(np.argmax(ratio))
-            details.append({"alpha": tuple(alpha), "beta": tuple(beta), "N": N,
-                            "sup": float(ratio[i]), "argmax": (tuple(z[i]), tuple(w[i]))})
+    # the tables' budget is checked before any exponent becomes a C integer,
+    # and values that overflow make their ratios non-finite, refused below
+    top = max(map(max, chain.from_iterable(terms)), default=0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tables = (power_tables(_as_complex_points(z, d)[0], top)
+                  + power_tables(np.conj(_as_complex_points(w, d)[0]), top))
+        exponents = np.array(terms, dtype=np.intp).reshape(-1, 2 * d)
+        for key, o, keep, c in zip(keys, orders, factor > 0, coeffs):
+            values = np.abs(table_sum(c[keep], exponents[keep] - o, tables))
+            bound = base * plus ** (-weight.rho * sum(key))
+            for N in range(n_decay + 1):
+                ratio = values / (bound * minus ** (-N))
+                _require_finite(ratio, "the estimate ratio", z, w)
+                i = int(np.argmax(ratio))
+                details.append({"alpha": key[:d], "beta": key[d:], "N": N,
+                                "sup": float(ratio[i]), "argmax": (tuple(z[i]), tuple(w[i]))})
     best = max(details, key=lambda entry: entry["sup"])
     return BoundReport(
         description="Shubin-Wick estimate check",

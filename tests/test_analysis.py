@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.core import HERMITE, CoefficientExpansion, InputDataError, UsageError, enumerate_basis
+from wickops.core import (HERMITE, CoefficientExpansion, InputDataError, UsageError, basis_size,
+                          enumerate_basis)
 from wickops.hermite import norm_growth_probe
 from wickops.symbols import WickSymbol, wick_matrix
 from wickops.analysis import (
@@ -239,6 +240,25 @@ class TestGardingInterlacing:
         tol = 1e-10 * max([1.0, *map(abs, low), *high])
         assert all(later <= earlier + tol for earlier, later in zip(low, low[1:]))
         assert all(later >= earlier - tol for earlier, later in zip(high, high[1:]))
+
+
+class TestGardingScale:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_wick_symbols(), st.floats(-12, 8).map(lambda e: 10.0**e))
+    def test_report_scales_with_the_symbol(self, a, c):
+        # eigenvalues and norms scale by c to eigen-solver rounding, about
+        # eps times the matrix's norm; the plateau flag does not change
+        truncations = [2, 4, 6] if a.dimension == 1 else [1, 2, 3]
+        plain, scaled = garding_check(a, truncations), garding_check(a.scaled(c), truncations)
+        M = wick_matrix(a, truncations[-1]).entries
+        norm = np.max(np.abs(M), initial=0.0) * basis_size(a.dimension, truncations[-1])
+        for got, want in [(scaled.min_real_eigenvalues, plain.min_real_eigenvalues),
+                          (scaled.max_imag_norms, plain.max_imag_norms)]:
+            assert np.max(np.abs(np.array(got) - c * np.array(want))) <= 1e-12 * c * norm
+        # |w| <= DIAG_RADIUS = 4 on the diagonal grid
+        terms = sum(abs(v) for v in a.terms.values()) * 4.0**a.total_degree
+        assert abs(scaled.diagonal_min - c * plain.diagonal_min) <= 1e-13 * c * terms
+        assert scaled.stabilized == plain.stabilized
 
 
 class TestDiagGridBudget:

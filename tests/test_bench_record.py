@@ -9,9 +9,9 @@ _spec = importlib.util.spec_from_file_location("bench_record", _SCRIPT)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-SPEC = {"end_to_end": [{"name": "jobs_per_s", "better": "higher"},
-                       {"name": "job_ms.p50", "better": "lower"},
-                       {"name": "ok_frac", "better": "higher"}],
+SPEC = {"end_to_end": [{"name": "jobs_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "job_ms.p50", "better": "lower", "bound": 0.25},
+                       {"name": "ok_frac", "better": "higher", "bound": 0.01}],
         "per_layer": [{"name": "hermite.samples", "better": "lower"}]}
 
 
@@ -83,7 +83,8 @@ def test_wall_figures_beside_the_rescaled_metrics(tmp_path):
                                wall={"setup_s": p, "speed_factor.p50": 1.0 + seed}))
         changes.append(_record(tmp_path / f"c{seed}.json", seed, {"jobs_per_s": 1.0},
                                wall={"setup_s": c, "speed_factor.p50": 1.1}))
-    spec = {**SPEC, "end_to_end": SPEC["end_to_end"] + [{"name": "setup_s", "better": "lower"}]}
+    spec = {**SPEC, "end_to_end": SPEC["end_to_end"] + [{"name": "setup_s", "better": "lower",
+                                                         "bound": 0.25}]}
     wall = bench_record.build_record(parents, changes, "x", spec)["end_to_end"][
         "coeff-transform"]["wall"]
     assert wall["setup_s"]["parent"] == {"median": 0.25, "q1": 0.2, "q3": 0.3}
@@ -92,6 +93,48 @@ def test_wall_figures_beside_the_rescaled_metrics(tmp_path):
     # a figure without a direction gets quartiles only
     assert set(wall["speed_factor.p50"]) == {"parent", "change"}
     assert wall["speed_factor.p50"]["parent"]["median"] == 3.0
+
+
+def test_proof_rule_verdicts(tmp_path):
+    # ten pairs; the parent's jobs_per_s quartiles are 97.5 and 102.5
+    parent_jobs = [95.0, 96.0, 97.0, 98.0, 99.0, 101.0, 102.0, 103.0, 104.0, 105.0]
+    cases = {
+        # 10/10 wins by 8 against a spread of 5: shown
+        "shown": ([v + 8.0 for v in parent_jobs], 10.0),
+        # 9/10 wins, but the median gains 4 against a spread of 5: not shown
+        "small": ([v + 4.0 for v in parent_jobs[:9]] + [parent_jobs[9] - 1.0], 10.0),
+        # gains 8, but wins 8/10 only: not shown; p50 30 % worse, past its 0.25 bound
+        "unsteady": ([v + 8.0 for v in parent_jobs[:8]] + [v - 1.0 for v in parent_jobs[8:]],
+                     13.0),
+    }
+    verdicts = {}
+    for label, (change_jobs, change_p50) in cases.items():
+        parents, changes = [], []
+        for seed, (p, c) in enumerate(zip(parent_jobs, change_jobs), 1):
+            parents.append(_record(tmp_path / f"p{seed}.json", seed,
+                                   {"jobs_per_s": p, "job_ms.p50": 10.0, "ok_frac": 1.0}))
+            changes.append(_record(tmp_path / f"c{seed}.json", seed,
+                                   {"jobs_per_s": c, "job_ms.p50": change_p50, "ok_frac": 0.995},
+                                   sha="bbb"))
+        parents.append(_record(tmp_path / "pt.json", 1, {"hermite.samples": 1.0}, trace=1))
+        changes.append(_record(tmp_path / "ct.json", 1, {"hermite.samples": 1.0}, trace=1,
+                               sha="bbb"))
+        out = bench_record.build_record(parents, changes, label, SPEC)
+        metrics = out["end_to_end"]["coeff-transform"]["metrics"]
+        verdicts[label] = {name: (m["gain_shown"], m["within_bound"])
+                           for name, m in metrics.items()}
+        # per-layer metrics and the plain wall figures carry no verdict
+        assert "gain_shown" not in out["per_layer"]["coeff-transform"]["metrics"][
+            "hermite.samples"]
+        assert "gain_shown" not in out["end_to_end"]["coeff-transform"]["wall"]["job_ms.p50"]
+    assert verdicts["shown"]["jobs_per_s"] == (True, True)
+    assert verdicts["small"]["jobs_per_s"] == (False, True)
+    assert verdicts["unsteady"]["jobs_per_s"] == (False, True)
+    # equal medians: within the bound, no gain
+    assert verdicts["shown"]["job_ms.p50"] == (False, True)
+    assert verdicts["unsteady"]["job_ms.p50"] == (False, False)
+    # ok_frac 0.5 % lower: inside its 0.01 bound
+    assert verdicts["shown"]["ok_frac"] == (False, True)
 
 
 @pytest.mark.parametrize("change_seed,seconds,match", [(8, 35, "do not pair"),

@@ -3,6 +3,10 @@ the CLI turns each one it can reach into the matching exit code and JSON
 error object."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from wickops.analysis import fit_norm_growth, garding_check
 from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
                               fock_inner_quadrature, gaussian_plane_rule, reproducing_quadrature)
+import wickops
 from wickops.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_USAGE, main
 from wickops import symbols
 from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, NumericalError,
@@ -37,6 +42,17 @@ GAUSSIAN = {"dimension": 1, "expression": "exp(-x0**2 / 2)"}
 X300 = RealSymbol(1, "weyl", {((300,), (0,)): 1.0})
 
 
+# d = 3 up to order 60: C(66, 6) = 90,858,768 derivative orders
+SHUBIN_D3 = WickSymbol(3, {((1, 0, 0), (0, 0, 1)): 1.0})
+# z^1000 up to order 120: 1000! / 880! is about 1e328
+Z1000 = WickSymbol(1, {((1000,), (0,)): 1.0})
+# conj(w)^300 sends e_300 to 300! e_0, past float64's range
+W300 = WickSymbol(1, {((0,), (300,)): 1.0})
+H65 = CoefficientExpansion(65, HERMITE, {(0,) * 65: 1.0})
+TENSOR_65 = "a tensor rule in dimension 65 is over the budget of 64 coordinates"
+ONE_NODE = ["hermite-coeffs", "--degree", "0", "--quad-order", "1"]
+
+
 def _wick_power(exponent):
     """The Wick symbol z^exponent conj(w) as JSON, the exponent as given."""
     return {"dimension": 1, "kind": "wick",
@@ -61,6 +77,9 @@ REFUSALS = [
      (_wick_power(10**5), ["bound-check", "--mode", "gs"])),
     ("power_tables-budget-huge-exponent", None, UsageError,
      "up to degree 100000000000000000000 take", (_wick_power(1e20), ["bound-check"])),
+    ("power_tables-budget-huge-exponent-shubin", None, UsageError,
+     "up to degree 100000000000000000000 take",
+     (_wick_power(1e20), ["bound-check", "--mode", "shubin"])),
     ("gauss_hermite-order", lambda: gauss_hermite(0), UsageError,
      "quadrature order must be >= 1",
      (F_H.to_json_dict(), ["bargmann", "--cross-check", "1", "--quad-order", "0"])),
@@ -168,9 +187,33 @@ REFUSALS = [
     ("pair_grid-radius", lambda: pair_grid(1, 1e308, 3), UsageError,
      "a grid of radius 1e+308 overflows float64",
      (OSC.to_json_dict(), ["bound-check", "--grid-radius", "1e308"])),
+    ("wick_matrix-factor", lambda: wick_matrix(W300, 300), NumericalError,
+     "the matrix factor of the term (0, 300) at degree 300 is past float64's range",
+     (W300.to_json_dict(), ["wick-matrix", "--degree", "300"])),
+    ("shubin_estimate_check-budget",
+     lambda: shubin_estimate_check(SHUBIN_D3, ShubinWeight(2.0), 60, 0, pair_grid(3, 4.0, 1)),
+     UsageError, "90858768 estimate records (derivative orders <= 60 in dimension 3, N <= 0) "
+     "are over the budget of 10000",
+     (SHUBIN_D3.to_json_dict(), ["bound-check", "--mode", "shubin", "--max-order", "60",
+                                 "--grid-points", "1"])),
+    # nothing overflows at this radius, so the 60,003 records were all written
+    ("shubin_estimate_check-budget-decay",
+     lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 20000, pair_grid(1, 0.001, 3)),
+     UsageError, "60003 estimate records", (OSC.to_json_dict(), [
+         "bound-check", "--mode", "shubin", "--n-decay", "20000", "--grid-radius", "0.001"])),
+    ("shubin_estimate_check-factor",
+     lambda: shubin_estimate_check(Z1000, ShubinWeight(2.0), 120, 0, GRID), NumericalError,
+     "a derivative of order <= 120 has a factor over float64's range",
+     (Z1000.to_json_dict(), ["bound-check", "--mode", "shubin", "--max-order", "120",
+                             "--grid-points", "1"])),
     ("shubin_estimate_check-grid",
      lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 0, EMPTY_GRID), UsageError,
      "bound check requires a non-empty grid", None),
+    # hermite
+    ("tensor_rule-dimension-65", lambda: tensor_rule(gauss_hermite(1), 65), UsageError, TENSOR_65,
+     ({"dimension": 65, "expression": "x0"}, ONE_NODE)),
+    ("hermite_coefficients-dimension-65", lambda: hermite_coefficients(H65, 65, 0, 1), UsageError,
+     TENSOR_65, (H65.to_json_dict(), ONE_NODE)),
     # expansion
     ("diagonal_derivative_symbol-point", lambda: diagonal_derivative_symbol(POINT, (1,)),
      UsageError, "diagonal derivatives apply to standard Wick symbols", None),
@@ -216,3 +259,34 @@ def test_to_wick_budget_comes_before_the_symbol_keys(monkeypatch):
     monkeypatch.setattr(symbols, "enumerate_symbol_keys", listed)
     with pytest.raises(UsageError, match="over the budget"):
         real_to_wick_symbol(RealSymbol(1, "weyl", {((99999,), (0,)): 1.0}))
+
+
+def test_shubin_budget_comes_before_the_derivative_orders(monkeypatch):
+    def listed(d, degree):
+        raise AssertionError(f"{basis_size(d, degree)} orders listed before the budget check")
+    for name in ("enumerate_basis", "enumerate_symbol_keys", "_basis_array"):
+        monkeypatch.setattr(symbols, name, listed)
+    with pytest.raises(UsageError, match="over the budget of 10000"):
+        shubin_estimate_check(SHUBIN_D3, ShubinWeight(2.0), 60, 0, pair_grid(3, 4.0, 1))
+
+
+def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
+    # the names x0 .. x{d-1} and the integer q^d were built before any
+    # budget check: a MemoryError traceback (exit 1) under this limit.  The
+    # child process keeps the limit, and a failure, away from this one.
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"dimension": 10**8, "expression": "x0"}))
+    src = str(Path(wickops.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from wickops.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", script, "hermite-coeffs", "--input", str(inp),
+                           "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["message"] == (
+        "a tensor rule in dimension 100000000 is over the budget of 64 coordinates")
+    assert not out.exists()

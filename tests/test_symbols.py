@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from wickops import symbols
 from wickops.bargmann import AccuracyWarning, evaluate_fock
+from wickops.expansion import decompose, decomposition_matrix
 from wickops.core import (
     FOCK,
     HERMITE,
@@ -24,6 +25,7 @@ from wickops.core import (
 from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder, synthesize
 from wickops.symbols import (
     KOHN_NIRENBERG,
+    BoundReport,
     MAX_MATRIX_ENTRIES,
     WEYL,
     OperatorMatrix,
@@ -307,21 +309,78 @@ def _fock_table_loop(p, q, L, antiwick):
     return T
 
 
+def _provider_tables(diagonals, pairs, n_in, n_out):
+    """The dense (n_out + 1, n_in + 1) 1-d factors of the pairs, rebuilt
+    entry by entry from a provider's diagonals (pair, k, values), k = out - in."""
+    pair, offset, values = diagonals(pairs)
+    tables = np.zeros((len(pairs), n_out + 1, n_in + 1), dtype=values.dtype)
+    for i, k, diagonal in zip(pair, offset, values):
+        for g in range(n_in + 1):
+            if 0 <= g + k <= n_out:
+                tables[i, g + k, g] = diagonal[g]
+    return tables
+
+
 class TestFockTable:
-    """The tables built around cached diagonals, against the factorial loop."""
+    """The Fock provider's diagonals, rebuilt as tables, against the
+    factorial loop, bitwise: one diagonal k = p - q per pair."""
 
     @pytest.mark.parametrize("antiwick", [False, True])
     def test_bitwise_against_factorial_loop(self, antiwick):
         for p, q, L in product(range(5), range(5), range(1, 41)):
-            got, want = symbols._fock_table(p, q, L, antiwick), _fock_table_loop(p, q, L, antiwick)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (p, q, L)
+            want = _fock_table_loop(p, q, L, antiwick)
+            # every column range whose rows the table holds, n_in + p - q <= n_out
+            last = L - 1 - max(0, p - q)
+            for n_in in sorted({0, last // 2, last}) if last >= 0 else ():
+                def diagonals(pairs):
+                    return symbols._fock_diagonals(pairs, n_in, antiwick)
+                assert diagonals([(p, q)])[1].tolist() == [p - q]
+                got = _provider_tables(diagonals, [(p, q)], n_in, L - 1)[0]
+                _assert_bitwise(got, want[:, :n_in + 1])
 
-    def test_returned_tables_are_fresh(self):
-        first = symbols._fock_table(3, 1, 7, True)
-        want = first.copy()
-        first[...] = 7.0
-        np.testing.assert_array_equal(symbols._fock_table(3, 1, 7, True), want)
+    def test_pairs_in_order(self):
+        pairs = [(0, 0), (0, 3), (2, 1), (4, 0)]
+        pair, offset, values = symbols._fock_diagonals(pairs, 2, False)
+        assert pair.tolist() == [0, 1, 2, 3] and offset.tolist() == [0, -3, 1, 4]
+        # the Wick factor of conj(w)^3 has no column of degree <= 2 to act on
+        assert values.shape == (4, 3) and not values[1].any()
+
+
+    def test_only_the_columns_in_use(self):
+        # z^300 conj(w)^300 acts on no column of degree < 300: its factors
+        # from degree 300 on pass float64's range, and are never computed
+        a = WickSymbol(1, {((300,), (300,)): 1.0, ((0,), (0,)): 2.0})
+        M = wick_matrix(a, 8).entries
+        np.testing.assert_array_equal(M, np.eye(309, 9) * 2.0)
+
+
+class TestDenseDiagonals:
+    """The Kohn-Nirenberg and Weyl provider against the dense X, D products
+    it reads its diagonals from."""
+
+    @pytest.mark.parametrize("quant", [KOHN_NIRENBERG, WEYL])
+    def test_against_dense_products(self, quant):
+        n_in, n_out = 4, 9
+        X, D = symbols._position_momentum(n_out + 1)
+        power = np.linalg.matrix_power
+
+        def table(p, q):
+            if quant == KOHN_NIRENBERG:
+                return power(X, p) @ power(D, q)
+            return sum(math.comb(p, k) * (power(X, k) @ power(D, q) @ power(X, p - k))
+                       for k in range(p + 1)) / 2**p
+
+        pairs = [(p, q) for p in range(5) for q in range(5) if p + q <= 5]
+        pair, offset, values = symbols._dense_diagonals(pairs, n_in, n_out, table)
+        # ascending in pair, then strictly in k; every diagonal has a non-zero
+        assert np.all(np.diff(pair) >= 0)
+        assert np.all(np.diff(offset)[np.diff(pair) == 0] > 0)
+        assert values.any(axis=1).all()
+        rebuilt = _provider_tables(
+            lambda pairs: symbols._dense_diagonals(pairs, n_in, n_out, table), pairs, n_in, n_out)
+        for tables, (p, q) in zip(rebuilt, pairs):
+            # equal values, so equal bits wherever the entry is not zero
+            assert np.array_equal(tables, table(p, q)[:, :n_in + 1]), (p, q)
 
 
 class TestSymbolKeys:
@@ -378,10 +437,11 @@ class TestMatrixBudget:
         assert time.perf_counter() - t0 < 1.0
 
 
-def _gather_matrix(terms, d, n_in, n_out, table, side):
+def _gather_matrix(terms, d, n_in, n_out, diagonals, side):
     """Reference assembler, a dense per-term gather: every term adds c times
-    the product over coordinates of its 1-d tables, gathered at all
-    (row, column) pairs of graded multi-indices, in term order."""
+    the product over coordinates of its 1-d tables, rebuilt densely from the
+    builder's diagonals and gathered at all (row, column) pairs of graded
+    multi-indices, in term order."""
     rows = np.array(enumerate_basis(d, n_out), dtype=int).reshape(-1, d)
     cols = rows[: len(enumerate_basis(d, n_in))]
     tables = {}
@@ -390,7 +450,7 @@ def _gather_matrix(terms, d, n_in, n_out, table, side):
         factor = None
         for j, pair in enumerate(zip(alpha, beta)):
             if pair not in tables:
-                tables[pair] = table(*pair)
+                tables[pair] = _provider_tables(diagonals, [pair], n_in, n_out)[0]
             gathered = tables[pair][rows[:, j, None], cols[None, :, j]]
             factor = gathered if factor is None else factor * gathered
         M += c * factor
@@ -510,6 +570,57 @@ class TestAssemblerScale:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * M.nbytes
+
+
+# |c| log-uniform over twenty decades, at any phase
+_SCALES = st.builds(lambda e, phase: 10.0**e * complex(math.cos(phase), math.sin(phase)),
+                    st.floats(-12, 8), st.floats(0, 2 * math.pi))
+
+
+def _common(M, n_out):
+    return M.embedded(n_out).entries
+
+
+class TestScale:
+    """Results that are linear or homogeneous in the symbol stay so at every
+    scale: nothing is cut off or floored at an absolute size."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_drawn_terms(degree=4), st.data(), _SCALES, st.integers(0, 4),
+           st.sampled_from(["wick", "antiwick", "decomposition"]))
+    def test_matrices_are_linear(self, first, data, c, n_in, kind):
+        d, terms_a = first
+        terms_b = data.draw(st.dictionaries(st.sampled_from(enumerate_symbol_keys(d, 4)), _VALUES,
+                                            max_size=6))
+        point = kind == "antiwick"
+        a, b = (WickSymbol(d, terms, point_symbol=point) for terms in (terms_a, terms_b))
+        if kind == "decomposition":
+            def build(symbol):
+                return decomposition_matrix(decompose(symbol, 1), n_in)
+        else:
+            def build(symbol):
+                return (antiwick_matrix if point else wick_matrix)(symbol, n_in)
+        pieces = [build(a), build(b), build(a.scaled(c).plus(b))]
+        n_out = max(M.codomain_degree for M in pieces)
+        A, B, combined = (_common(M, n_out) for M in pieces)
+        scale = max(np.max(np.abs(c * A), initial=0.0), np.max(np.abs(B), initial=0.0))
+        assert np.max(np.abs(combined - (c * A + B)), initial=0.0) <= 1e-13 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_drawn_terms(max_d=2, degree=3), _SCALES, st.floats(0.5, 2.0),
+           st.sampled_from(["gs", "shubin"]))
+    def test_bound_check_sup_scales(self, drawn, c, radius, mode):
+        d, terms = drawn
+        a = WickSymbol(d, terms)
+        grid = pair_grid(d, radius, 3)
+        if mode == "gs":
+            def sup(symbol):
+                return symbol_bound_check(symbol, 0.5, 1.0, "loss", grid).sup
+        else:
+            def sup(symbol):
+                return shubin_estimate_check(symbol, ShubinWeight(2.0), 2, 1, grid).sup
+        base = sup(a)
+        assert sup(a.scaled(c)) == pytest.approx(abs(c) * base, rel=1e-13, abs=0.0)
 
 
 class TestAdjoint:
@@ -724,6 +835,34 @@ class TestShubinEstimateCheck:
         entries = {(tuple(e["alpha"]), tuple(e["beta"]), e["N"]): e["sup"]
                    for e in report.details}
         assert np.isfinite(entries[((1,), (1,), 0)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_drawn_terms(max_d=2, degree=5, max_terms=12), st.integers(0, 3), st.integers(0, 2),
+           st.floats(-2.0, 3.0), st.floats(0.0, 1.0), st.floats(0.5, 4.0), st.integers(1, 3))
+    def test_report_bitwise_against_symbol_derivatives(self, drawn, max_order, n_decay, t, rho,
+                                                       radius, points):
+        # the term-wise derivative symbols, each evaluated on its own tables:
+        # the route the power-table arrays replaced, kept as their oracle.
+        # Up to 12 terms, since numpy's pairwise sums change lanes from 8 on.
+        d, terms = drawn
+        a = WickSymbol(d, terms)
+        weight = ShubinWeight(t, rho)
+        z, w = grid = pair_grid(d, radius, points)
+        report = shubin_estimate_check(a, weight, max_order, n_decay, grid)
+        gauss = np.exp(0.5 * np.linalg.norm(z - w, axis=1) ** 2)
+        base = gauss * weight.omega_complex(math.sqrt(2.0) * np.conj(z))
+        plus, minus = japanese_bracket(z + w), japanese_bracket(z - w)
+        want = []
+        for alpha, beta in enumerate_symbol_keys(d, max_order):
+            values = np.abs(a.derivative(alpha, beta).evaluate(z, w))
+            for N in range(n_decay + 1):
+                ratio = values / (base * plus ** (-rho * (alpha.degree() + beta.degree()))
+                                  * minus ** (-N))
+                i = int(np.argmax(ratio))
+                want.append({"alpha": tuple(alpha), "beta": tuple(beta), "N": N,
+                             "sup": float(ratio[i]), "argmax": (tuple(z[i]), tuple(w[i]))})
+        assert (report.to_json_dict()["details"]
+                == BoundReport("", 0.0, None, details=want).to_json_dict()["details"])
 
     def test_japanese_bracket(self):
         assert japanese_bracket([0.0]) == pytest.approx(1.0)

@@ -11,7 +11,12 @@ trace flag and seed.  For each workload and metric the file holds both
 sides' medians and quartiles, the paired seeds and the number of pairs the
 change won: strictly better in the direction ``BENCHMARK.json`` gives for
 the metric, ties counting for neither side.  Untraced runs go under
-``end_to_end``, traced ones under ``per_layer``.  Beside its metrics, which
+``end_to_end``, traced ones under ``per_layer``.  Each end-to-end metric of
+an untraced run also carries the proof rule's verdict: ``gain_shown`` when
+the change won at least 9 in 10 of the pairs and its median beats the
+parent's by more than the parent's q3 - q1, and ``within_bound`` when its
+median is worse than the parent's by no more than the metric's
+``BENCHMARK.json`` bound, a fraction of the parent's median.  Beside its metrics, which
 ``bench/run.py`` rescales to a reference host speed, each untraced workload
 carries the same comparison of the records' plain wall-time figures (their
 ``wall`` field, ``setup_s`` included) under ``wall``; a figure
@@ -48,6 +53,16 @@ def _compare(a, b, better) -> dict:
     return out
 
 
+def _verdict(entry, pairs, bound) -> dict:
+    """gain_shown and within_bound of one end-to-end metric's comparison."""
+    sign = 1 if entry["better"] == "higher" else -1
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+    return {"gain_shown": 10 * entry["change_wins"] >= 9 * pairs
+            and sign * (change - parent) > spread,
+            "within_bound": sign * (parent - change) <= bound * abs(parent)}
+
+
 def _load(paths) -> dict:
     """{(workload, trace): {seed: record}}, refusing a repeated run."""
     runs = defaultdict(dict)
@@ -70,6 +85,7 @@ def _sha(runs, side) -> str:
 def build_record(parent_paths, change_paths, label, spec) -> dict:
     """The BENCH_<label>.json content for two sets of run records."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent, change = _load(parent_paths), _load(change_paths)
     if set(parent) != set(change):
         raise ValueError(f"the two sets cover different workloads: {sorted(parent)} "
@@ -90,6 +106,8 @@ def build_record(parent_paths, change_paths, label, spec) -> dict:
             a = [before[s]["metrics"][name]["value"] for s in seeds]
             b = [after[s]["metrics"][name]["value"] for s in seeds]
             metrics[name] = {"unit": first["unit"], **_compare(a, b, better[name])}
+            if not trace and name in bounds:
+                metrics[name].update(_verdict(metrics[name], len(seeds), bounds[name]))
         entry = {"seconds": lengths.pop(), "seeds": seeds, "pairs": len(seeds),
                  "metrics": metrics}
         if not trace:
