@@ -379,8 +379,8 @@ def _fock_diagonal(p: int, q: int, n_cols: int, antiwick: bool) -> np.ndarray:
     closed forms of wick_matrix and antiwick_matrix,
     e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q} when top >= q, with
     top = g (Wick) or g + p (anti-Wick), on the columns
-    g = max(0, q - p) .. n_cols - 1; cached, so read-only.  A factor past
-    float64's range is a NumericalError."""
+    g = max(0, q - p) .. n_cols - 1; cached, so read-only.  A factor whose
+    computation overflows float64 is a NumericalError."""
     start = max(0, q - p)
     diag = np.zeros(max(0, n_cols - start))
     try:
@@ -394,7 +394,7 @@ def _fock_diagonal(p: int, q: int, n_cols: int, antiwick: bool) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(diag))
     if bad.size:
         raise NumericalError(f"the matrix factor of the term ({p}, {q}) at degree "
-                             f"{start + bad[0]} is past float64's range; lower the degree")
+                             f"{start + bad[0]} overflows float64; lower the degree")
     diag.flags.writeable = False
     return diag
 

@@ -44,9 +44,9 @@ X300 = RealSymbol(1, "weyl", {((300,), (0,)): 1.0})
 
 # d = 3 up to order 60: C(66, 6) = 90,858,768 derivative orders
 SHUBIN_D3 = WickSymbol(3, {((1, 0, 0), (0, 0, 1)): 1.0})
-# z^1000 up to order 120: 1000! / 880! is about 1e328
+# z^1000 up to order 120: 1000! / 880! is about 6e356
 Z1000 = WickSymbol(1, {((1000,), (0,)): 1.0})
-# conj(w)^300 sends e_300 to 300! e_0, past float64's range
+# conj(w)^300 sends e_g to g!/(g - 300)! sqrt((g - 300)!/g!) e_(g - 300): 300! overflows
 W300 = WickSymbol(1, {((0,), (300,)): 1.0})
 H65 = CoefficientExpansion(65, HERMITE, {(0,) * 65: 1.0})
 TENSOR_65 = "a tensor rule in dimension 65 is over the budget of 64 coordinates"
@@ -188,14 +188,14 @@ REFUSALS = [
      "a grid of radius 1e+308 overflows float64",
      (OSC.to_json_dict(), ["bound-check", "--grid-radius", "1e308"])),
     ("wick_matrix-factor", lambda: wick_matrix(W300, 300), NumericalError,
-     "the matrix factor of the term (0, 300) at degree 300 is past float64's range",
+     "the matrix factor of the term (0, 300) at degree 300 overflows float64",
      (W300.to_json_dict(), ["wick-matrix", "--degree", "300"])),
     ("shubin_estimate_check-budget",
-     lambda: shubin_estimate_check(SHUBIN_D3, ShubinWeight(2.0), 60, 0, pair_grid(3, 4.0, 1)),
-     UsageError, "90858768 estimate records (derivative orders <= 60 in dimension 3, N <= 0) "
-     "are over the budget of 10000",
-     (SHUBIN_D3.to_json_dict(), ["bound-check", "--mode", "shubin", "--max-order", "60",
-                                 "--grid-points", "1"])),
+     lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 200, 0, GRID), UsageError,
+     "20301 estimate records (derivative orders <= 200 in dimension 1, N <= 0) are over the "
+     "budget of 10000",
+     (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--max-order", "200",
+                           "--grid-points", "1"])),
     # nothing overflows at this radius, so the 60,003 records were all written
     ("shubin_estimate_check-budget-decay",
      lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 20000, pair_grid(1, 0.001, 3)),
@@ -262,6 +262,7 @@ def test_to_wick_budget_comes_before_the_symbol_keys(monkeypatch):
 
 
 def test_shubin_budget_comes_before_the_derivative_orders(monkeypatch):
+    # listing the 90,858,768 orders took gigabytes before the budget check
     def listed(d, degree):
         raise AssertionError(f"{basis_size(d, degree)} orders listed before the budget check")
     for name in ("enumerate_basis", "enumerate_symbol_keys", "_basis_array"):

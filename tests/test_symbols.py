@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from wickops import symbols
 from wickops.bargmann import AccuracyWarning, evaluate_fock
-from wickops.expansion import decompose, decomposition_matrix
 from wickops.core import (
     FOCK,
     HERMITE,
@@ -22,6 +21,7 @@ from wickops.core import (
     UsageError,
     enumerate_basis,
 )
+from wickops.expansion import decompose, decomposition_matrix
 from wickops.hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder, synthesize
 from wickops.symbols import (
     KOHN_NIRENBERG,
@@ -345,10 +345,9 @@ class TestFockTable:
         # the Wick factor of conj(w)^3 has no column of degree <= 2 to act on
         assert values.shape == (4, 3) and not values[1].any()
 
-
     def test_only_the_columns_in_use(self):
         # z^300 conj(w)^300 acts on no column of degree < 300: its factors
-        # from degree 300 on pass float64's range, and are never computed
+        # from degree 300 on overflow float64, and are never computed
         a = WickSymbol(1, {((300,), (300,)): 1.0, ((0,), (0,)): 2.0})
         M = wick_matrix(a, 8).entries
         np.testing.assert_array_equal(M, np.eye(309, 9) * 2.0)
@@ -572,13 +571,10 @@ class TestAssemblerScale:
         assert peak <= 4 * M.nbytes
 
 
-# |c| log-uniform over twenty decades, at any phase
+# |c| log-uniform over twenty decades and at both ends, at any phase
 _SCALES = st.builds(lambda e, phase: 10.0**e * complex(math.cos(phase), math.sin(phase)),
-                    st.floats(-12, 8), st.floats(0, 2 * math.pi))
-
-
-def _common(M, n_out):
-    return M.embedded(n_out).entries
+                    st.one_of(st.sampled_from([-12.0, 8.0]), st.floats(-12, 8)),
+                    st.floats(0, 2 * math.pi))
 
 
 class TestScale:
@@ -602,7 +598,7 @@ class TestScale:
                 return (antiwick_matrix if point else wick_matrix)(symbol, n_in)
         pieces = [build(a), build(b), build(a.scaled(c).plus(b))]
         n_out = max(M.codomain_degree for M in pieces)
-        A, B, combined = (_common(M, n_out) for M in pieces)
+        A, B, combined = (M.embedded(n_out).entries for M in pieces)
         scale = max(np.max(np.abs(c * A), initial=0.0), np.max(np.abs(B), initial=0.0))
         assert np.max(np.abs(combined - (c * A + B)), initial=0.0) <= 1e-13 * scale
 
