@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    MAX_TENSOR_DIMENSION,
     CoefficientExpansion,
     InputDataError,
     NumericalError,
@@ -176,13 +177,16 @@ DIAG_ANGLES = 64
 def default_diag_grid(dimension: int = 1):
     """Polar grid of DIAG_RADII radii up to DIAG_RADIUS by DIAG_ANGLES angles
     (d = 1); for d > 1 a coarse per-coordinate polar product is used.
-    Product grids of more than MAX_DIAG_POINTS points are refused before
-    allocation."""
+    Product grids of more than MAX_DIAG_POINTS points or
+    MAX_TENSOR_DIMENSION coordinates are refused before allocation."""
     radii = np.linspace(0.0, DIAG_RADIUS, DIAG_RADII)
     angles = 2.0 * np.pi * np.arange(DIAG_ANGLES) / DIAG_ANGLES
     pts_1d = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if dimension == 1:
         return pts_1d[:, None]
+    if dimension > MAX_TENSOR_DIMENSION:  # before the power, an integer of d log2(41) bits
+        raise UsageError(f"the diagonal grid in dimension {dimension} is over the budget of "
+                         f"{MAX_TENSOR_DIMENSION} coordinates")
     coarse = pts_1d[:: max(1, len(pts_1d) // 40)]
     n_points = len(coarse) ** dimension
     if n_points > MAX_DIAG_POINTS:

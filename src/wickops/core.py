@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -32,6 +33,10 @@ MAX_TENSOR_DIMENSION = 64
 # order x order eigenproblem.  Orders from 372 on already give NaN weights in
 # float64, which gauss_hermite refuses too.
 MAX_QUAD_ORDER = 1000
+
+# Largest basis enumerate_basis lists, in entries (length x d): each
+# multi-index is a tuple of Python ints, so this is about 100 MB.
+MAX_BASIS_ENTRIES = 1_000_000
 
 # Largest table of powers built, in entries: power_tables builds one complex
 # (points x (degree + 1)) table per coordinate, 160 MB at this size.
@@ -137,12 +142,15 @@ def grlex_key(alpha):
 
 
 def _fixed_degree(d, n):
-    if d == 1:
-        yield (n,)
-        return
-    for k in range(n, -1, -1):
-        for rest in _fixed_degree(d - 1, n - k):
-            yield (k,) + rest
+    """The multi-indices of length d and degree n in graded-lex order, as
+    lists, by stars and bars: star i at slot s of the n + d - 1 has s - i
+    bars before it, so it counts towards coordinate s - i, and star slots in
+    lexicographic order put the first coordinate's largest value first."""
+    for stars in combinations(range(n + d - 1), n):
+        alpha = [0] * d
+        for i, s in enumerate(stars):
+            alpha[s - i] += 1
+        yield alpha
 
 
 def basis_size(d: int, degree_bound: int) -> int:
@@ -160,8 +168,14 @@ def enumerate_basis(d: int, degree_bound: int) -> tuple:
 
     The list for bound N is a prefix of the list for any bound M > N, which
     is what makes zero-padding of operator matrices a pure row extension.
+    Bases of more than MAX_BASIS_ENTRIES entries (length x d) are refused
+    before any is built.
     """
-    basis_size(d, degree_bound)  # refuses d < 1 and degree_bound < 0
+    entries = basis_size(d, degree_bound) * d  # refuses d < 1 and degree_bound < 0
+    if entries > MAX_BASIS_ENTRIES:
+        raise UsageError(f"the basis of degree <= {degree_bound} in dimension {d} has "
+                         f"{entries} entries, over the budget of {MAX_BASIS_ENTRIES}; "
+                         f"lower the degree or the dimension")
     out = []
     for n in range(degree_bound + 1):
         out.extend(MultiIndex(a) for a in _fixed_degree(d, n))

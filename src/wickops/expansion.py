@@ -25,8 +25,12 @@ from itertools import product
 
 import numpy as np
 
-from .core import FOCK, MultiIndex, UsageError, basis_size, enumerate_basis
+from .core import FOCK, MultiIndex, NumericalError, UsageError, basis_size, enumerate_basis
 from .symbols import OperatorMatrix, WickSymbol, antiwick_matrix, wick_matrix
+
+# most terms (multi-indices alpha with |alpha| <= order + 1) decompose lists:
+# each one is a derivative symbol and a record in the report
+MAX_DECOMPOSITION_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,11 @@ def remainder_symbol(a: WickSymbol, alpha) -> WickSymbol:
             for aj, bj, kj in zip(A, B, k):
                 count *= math.comb(aj, kj) * math.comb(bj, kj) * math.factorial(kj)
             key = (A - k, B - k)
-            out[key] = out.get(key, 0.0) + c * (count * m / (m + k.degree()))
+            try:
+                out[key] = out.get(key, 0.0) + c * (count * m / (m + k.degree()))
+            except OverflowError as exc:  # count is past float64's range
+                raise NumericalError(f"the remainder symbol of order {alpha} has a factor over "
+                                     f"float64's range at the term ({A}, {B})") from exc
     return WickSymbol(a.dimension, out)
 
 
@@ -115,12 +123,18 @@ def decompose(a: WickSymbol, order: int) -> WickToAntiWickDecomposition:
     """Assemble the full decomposition at the given order.
 
     order = 0 is permitted as an extension (remainder at |alpha| = 1) and
-    flagged in the result."""
+    flagged in the result.  Decompositions of more than
+    MAX_DECOMPOSITION_TERMS terms are refused before any is listed."""
     if a.point_symbol:
         raise UsageError("decompose applies to standard Wick symbols")
     if order < 0:
         raise UsageError(f"order must be >= 0, got {order}")
     d = a.dimension
+    n_terms = basis_size(d, order + 1)
+    if n_terms > MAX_DECOMPOSITION_TERMS:
+        raise UsageError(f"{n_terms} decomposition terms (multi-indices of degree <= "
+                         f"{order + 1} in dimension {d}) are over the budget of "
+                         f"{MAX_DECOMPOSITION_TERMS}; lower the order")
     # in graded order the indices of degree order + 1 are the suffix
     basis, split = enumerate_basis(d, order + 1), basis_size(d, order)
 

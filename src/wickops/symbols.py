@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -22,6 +23,7 @@ import numpy as np
 from .core import (
     FOCK,
     HERMITE,
+    MAX_TENSOR_DIMENSION,
     CoefficientExpansion,
     InputDataError,
     MultiIndex,
@@ -156,7 +158,8 @@ class WickSymbol(_TermSymbol):
         return self.evaluate(w) if self.point_symbol else self.evaluate(w, w)
 
     def derivative(self, alpha, beta) -> "WickSymbol":
-        """Exact term-wise derivative d_z^alpha dbar_w^beta of a standard symbol."""
+        """Exact term-wise derivative d_z^alpha dbar_w^beta of a standard symbol;
+        a factor past float64's range is a NumericalError."""
         if self.point_symbol:
             raise UsageError("derivative in (z, conj w) applies to standard Wick symbols")
         alpha = MultiIndex(alpha)
@@ -168,7 +171,11 @@ class WickSymbol(_TermSymbol):
             # a!/(a - alpha)! b!/(b - beta)!, over the 2d coordinates of (a, b)
             factor = math.prod(map(math.perm, (*a, *b), (*alpha, *beta)))
             key = (a - alpha, b - beta)
-            out[key] = out.get(key, 0.0) + factor * c
+            try:
+                out[key] = out.get(key, 0.0) + factor * c
+            except OverflowError as exc:  # factor is past float64's range
+                raise NumericalError(f"the derivative of order ({alpha}, {beta}) of the term "
+                                     f"({a}, {b}) has a factor over float64's range") from exc
         return WickSymbol(self.dimension, out)
 
     def scaled(self, factor) -> "WickSymbol":
@@ -364,12 +371,17 @@ def _entries(keys, d, n_in, n_out, diagonals):
 def _assemble(terms, d, n_in, n_out, diagonals, side) -> OperatorMatrix:
     """Matrix of sum c * prod_j T(alpha_j, beta_j) over the terms
     {(alpha, beta): c}, diagonals as in _entries, scattered with np.add.at in
-    term order: each entry sums the products a dense per-term sum would."""
+    term order: each entry sums the products a dense per-term sum would.  A
+    matrix with an entry past float64's range is a NumericalError."""
     n_cols = _check_matrix_size(d, n_in, n_out)
     M = np.zeros((basis_size(d, n_out), n_cols), dtype=complex)
     c = np.array(list(terms.values()), dtype=complex)
-    for term, row, col, factor in _entries(list(terms), d, n_in, n_out, diagonals):
-        np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for term, row, col, factor in _entries(list(terms), d, n_in, n_out, diagonals):
+            np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
+    if not np.isfinite(M).all():
+        raise NumericalError("the matrix entries overflow float64; scale the symbol down or "
+                             "lower the degree")
     return OperatorMatrix(d, n_in, n_out, side, M)
 
 
@@ -410,6 +422,15 @@ def _fock_diagonals(pairs, n_in: int, antiwick: bool):
     return np.arange(len(pairs)), offset, values
 
 
+def _acting(terms, n_in: int) -> dict:
+    """The terms {(alpha, beta): c} of a Wick or anti-Wick symbol less those
+    with beta_j - alpha_j > n_in in some coordinate: that coordinate's Fock
+    factor acts on no column of degree <= n_in, so they send every column
+    to 0, and their offsets need not fit an intp."""
+    return {(a, b): c for (a, b), c in terms.items()
+            if all(bj - aj <= n_in for aj, bj in zip(a, b))}
+
+
 def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Wick operator of a polynomial symbol.
 
@@ -427,7 +448,7 @@ def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
     if n_in < 0:
         raise UsageError(f"n_in must be >= 0, got {n_in}")
     n_out = n_in + a.z_degree
-    return _assemble(a.terms, a.dimension, n_in, n_out,
+    return _assemble(_acting(a.terms, n_in), a.dimension, n_in, n_out,
                      lambda pairs: _fock_diagonals(pairs, n_in, False), FOCK)
 
 
@@ -452,22 +473,19 @@ def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
                          for (_, b), c in a0.terms.items()},
                         point_symbol=True)
     n_out = n_in + max((s.degree() for s, _ in a0.terms), default=0)
-    return _assemble(a0.terms, a0.dimension, n_in, n_out,
+    return _assemble(_acting(a0.terms, n_in), a0.dimension, n_in, n_out,
                      lambda pairs: _fock_diagonals(pairs, n_in, True), FOCK)
 
 
 def _position_momentum(L: int):
     """1-d position X = (C + A)/2 and momentum D = -i d/dx = -i(A - C)/2 as
-    (L, L) matrices on h_0 .. h_{L-1}, read off apply_ladder (C creation,
-    A annihilation)."""
-    ladders = {CREATION: np.zeros((L, L)), ANNIHILATION: np.zeros((L, L))}
-    for g in range(L):
-        unit = CoefficientExpansion(1, HERMITE, {(g,): 1.0})
-        for kind, T in ladders.items():
-            for (n,), v in apply_ladder(unit, LadderKind(kind)).coeffs.items():
-                if n < L:
-                    T[n, g] = v.real
-    C, A = ladders[CREATION], ladders[ANNIHILATION]
+    (L, L) matrices on h_0 .. h_{L-1}, read off one apply_ladder call per
+    ladder on h_0 + ... + h_{L-1} (C creation, A annihilation): C sends h_g
+    only to h_{g+1} and A only to h_{g-1}, so the images do not overlap."""
+    units = CoefficientExpansion(1, HERMITE, {(g,): 1.0 for g in range(L)})
+    up, down = (apply_ladder(units, LadderKind(kind)).coeffs for kind in (CREATION, ANNIHILATION))
+    C = np.diag([up[(n,)].real for n in range(1, L)], -1)
+    A = np.diag([down[(n,)].real for n in range(L - 1)], 1)
     return (C + A) / 2, -0.5j * (A - C)
 
 
@@ -486,6 +504,15 @@ def _dense_diagonals(pairs, n_in: int, n_out: int, table):
     return pair, shifted - n_in, values
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _log_top(g: int, k: int) -> float:
+    """log of sqrt((g + k)! / (g! 2^k)), the modulus of the entry that a
+    product of k factors X or D sends from h_g to h_{g+k}."""
+    return (math.lgamma(g + k + 1) - math.lgamma(g + 1) - k * math.log(2)) / 2
+
+
 def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
     if b.quantization != quantization:
         raise UsageError(f"symbol is not tagged {quantization}")
@@ -494,14 +521,26 @@ def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
     n_out = n_in + b.total_degree
     _check_matrix_size(b.dimension, n_in, n_out)
     X, D = _position_momentum(n_out + 1)
-    power = np.linalg.matrix_power
-    if quantization == KOHN_NIRENBERG:
-        def table(p, q):
-            return power(X, p) @ power(D, q)
-    else:
-        def table(p, q):
-            return sum(math.comb(p, k) * (power(X, k) @ power(D, q) @ power(X, p - k))
-                       for k in range(p + 1)) / 2**p
+    weyl = quantization == WEYL
+
+    def table(p, q):
+        # row g + p + q of column g is i^q sqrt((g + p + q)! / (g! 2^(p + q))),
+        # growing with g: from the first g where it is past float64's range,
+        # the columns overflow, and no product is run
+        bad = [bisect_left(range(n_in + 1), True,
+                           key=lambda g: _log_top(g, p + q) > _LOG_FLOAT_MAX)]
+        if bad[0] > n_in:
+            # Op(x c) = X Op(c) (Kohn-Nirenberg) or (X Op(c) + Op(c) X)/2 (Weyl);
+            # each step moves the degree by one, so columns <= n_in stay exact
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                T = np.linalg.matrix_power(D, q)
+                for _ in range(p):
+                    T = (X @ T + T @ X) / 2 if weyl else X @ T
+            bad = np.flatnonzero(~np.isfinite(T[:, :n_in + 1]).all(axis=0))
+        if len(bad):
+            raise NumericalError(f"the matrix factor of the term ({p}, {q}) at degree "
+                                 f"{bad[0]} overflows float64; lower the exponents or the degree")
+        return T
     return _assemble(b.terms, b.dimension, n_in, n_out,
                      lambda pairs: _dense_diagonals(pairs, n_in, n_out, table), HERMITE)
 
@@ -510,9 +549,11 @@ def kn_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Kohn-Nirenberg quantization sum c x^alpha D^beta
     (all position factors to the left of all momentum factors).
 
-    Each coordinate contributes the 1-d table X^a D^b, with X and D the 1-d
-    position and momentum matrices read off the ladder operators; truncated
-    at n_out = n_in + total degree, their products are exact on the domain.
+    Each coordinate contributes the 1-d table X^a D^b, built from D^b by a
+    steps of T <- X T, with X and D the 1-d position and momentum matrices
+    read off the ladder operators; truncated at n_out = n_in + total degree,
+    their products are exact on the domain.  A table that overflows float64
+    on the domain is a NumericalError.
     """
     return _real_matrix(b, n_in, KOHN_NIRENBERG)
 
@@ -521,7 +562,10 @@ def weyl_matrix(b: RealSymbol, n_in: int) -> OperatorMatrix:
     """Exact matrix of the Weyl quantization.
 
     Each coordinate contributes the 1-d table of the Weyl-ordered product
-    of x^a xi^b, through the symmetric-ordering identity
+    of x^a xi^b, built from D^b by a steps of T <- (X T + T X)/2: the Moyal
+    product with a linear symbol has no higher terms, so Op^w(x c) =
+    (X Op^w(c) + Op^w(c) X)/2.  In closed form this is the
+    symmetric-ordering identity
 
         Op^w(x^a xi^b) = 2^{-a} sum_k binom(a, k) X^k D^b X^{a-k},
 
@@ -545,7 +589,9 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
 
     Solved as an exact linear system: unknown coefficients on all monomials
     of total degree <= deg(b), whose unit Wick matrices are built in one pass,
-    equations from the quantization matrix built at degree n_probe.
+    equations from the quantization matrix built at degree n_probe.  The
+    residual check and the cutoff below which a coefficient is dropped are
+    1e-9 and 1e-12 of the matrix's largest entry.
     """
     deg = b.total_degree
     if n_probe is None:
@@ -563,15 +609,17 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
     quantize = kn_matrix if b.quantization == KOHN_NIRENBERG else weyl_matrix
     rhs = quantize(b, n_probe).embedded(n_out).entries.ravel()
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    residual = np.max(np.abs(A @ coeffs - rhs)) if rhs.size else 0.0
-    scale = max(1.0, np.max(np.abs(rhs)) if rhs.size else 0.0)
+    # both tolerances are relative to the quantization matrix, so that the
+    # result scales with the symbol
+    residual = np.max(np.abs(A @ coeffs - rhs), initial=0.0)
+    scale = np.max(np.abs(rhs), initial=0.0)
     if residual > 1e-9 * scale:
         raise NumericalError(
             f"no exact Wick symbol of degree {deg} reproduces the quantization matrix "
             f"(residual {residual:.3e}); this signals an upstream matrix bug")
     terms = {}
     for (alpha, beta), c in zip(keys, coeffs):
-        if abs(c) > 1e-12:
+        if abs(c) > 1e-12 * scale:
             terms[(alpha, beta)] = complex(c)
     return WickSymbol(d, terms)
 
@@ -651,9 +699,13 @@ def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7)
 
     z varies slowest, then w; within a point the coordinates in order, and
     within a coordinate the real part before the imaginary part.  Grids of
-    more than MAX_GRID_PAIRS pairs are refused before allocation."""
+    more than MAX_GRID_PAIRS pairs or MAX_TENSOR_DIMENSION coordinates are
+    refused before allocation."""
     if points_per_axis < 1:
         raise UsageError(f"a grid needs at least 1 point per axis, got {points_per_axis}")
+    if dimension > MAX_TENSOR_DIMENSION:  # before the power, an integer of d log2(points) bits
+        raise UsageError(f"a grid in dimension {dimension} is over the budget of "
+                         f"{MAX_TENSOR_DIMENSION} coordinates")
     n_pairs = points_per_axis ** (4 * dimension)
     if n_pairs > MAX_GRID_PAIRS:
         raise UsageError(f"a grid of {points_per_axis} points per axis in dimension "
@@ -757,7 +809,9 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
                          dtype=object)
         factor = factor * perms[orders[:, j]]
     try:
-        coeffs = factor.astype(float) * np.array(list(a.terms.values()), dtype=complex)
+        # a coefficient that overflows makes its ratios non-finite, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = factor.astype(float) * np.array(list(a.terms.values()), dtype=complex)
     except OverflowError as exc:
         raise NumericalError(f"a derivative of order <= {max_order} has a factor over "
                              f"float64's range; lower the maximum order") from exc

@@ -2,14 +2,19 @@
 the CLI turns each one it can reach into the matching exit code and JSON
 error object."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickops.analysis import fit_norm_growth, garding_check
 from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
@@ -291,3 +296,79 @@ def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
     assert json.loads(line)["error"]["message"] == (
         "a tensor rule in dimension 100000000 is over the budget of 64 coordinates")
     assert not out.exists()
+
+
+# Raw input for every subcommand: each run exits 0, 2, 3 or 4, writes at most
+# one JSON error line on stderr and no warning, and raises nothing.
+_COMMANDS = {
+    "hermite-coeffs": [], "bargmann": ["--cross-check", "1"],
+    "wick-matrix": ["--degree", "2"], "antiwick-matrix": ["--degree", "2"],
+    "kn-matrix": ["--degree", "2"], "weyl-matrix": ["--degree", "2"], "to-wick": [],
+    "expand-antiwick": ["--order", "1"], "garding": ["--truncations", "2,3"], "classify": [],
+    "bound-check": ["--grid-points", "2"],
+    "bound-check-shubin": ["--mode", "shubin", "--grid-points", "2"],
+}
+_TERM = {"alpha": [1, 0], "beta": [0, 2], "value": [0.5, -1.0]}
+_TEMPLATES = [
+    {"dimension": 2, "kind": kind, "terms": [_TERM, {**_TERM, "alpha": [0, 0]}]}
+    for kind in ("wick", "antiwick", "kn", "weyl")
+] + [
+    {"dimension": 2, "side": side, "coeffs": [{"index": [1, 0], "value": [1.0, 0.0]},
+                                              {"index": [0, 3], "value": [0.0, -2.0]}]}
+    for side in ("hermite", "fock")
+] + [{"dimension": 1, "degree": 4, "expression": "exp(-x0**2 / 2)"}]
+_DRAWN = st.one_of(
+    st.sampled_from([-1, 0, 3, 65, 10**5, 10**30, 2**63, -(10**30), 1.5, 1e308, -1e308]),
+    st.integers(), st.floats(), st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(st.one_of(st.integers(-3, 400), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a template, the template itself first."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _raw_inputs(draw):
+    """Input bytes: arbitrary, deeply nested JSON, or a valid file with one
+    field swapped for a drawn value."""
+    kind = draw(st.sampled_from(["binary", "nested", "swapped"]))
+    if kind == "binary":
+        return draw(st.binary(max_size=64))
+    if kind == "nested":
+        depth = draw(st.integers(1, 100_000))
+        return ('{"terms": ' * depth + "[]" + "}" * depth).encode()
+    data = json.loads(json.dumps(draw(st.sampled_from(_TEMPLATES))))
+    path = draw(st.sampled_from(list(_paths(data))[1:]))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = draw(_DRAWN)
+    return json.dumps(data).encode()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_COMMANDS)), _raw_inputs(),
+       st.sampled_from(["file", "missing-directory", "directory"]))
+def test_raw_input_keeps_the_error_contract(command, raw, output):
+    argv = [command.removesuffix("-shubin"), *_COMMANDS[command]]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "in.json"
+        inp.write_bytes(raw)
+        out = {"file": Path(tmp) / "out.json", "missing-directory": Path(tmp) / "no" / "out.json",
+               "directory": Path(tmp)}[output]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([argv[0], "--input", str(inp), "--output", str(out), *argv[1:]])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERICAL)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0), lines
+    if lines:
+        assert set(json.loads(lines[0])["error"]) == {"kind", "message"}
