@@ -114,8 +114,8 @@ def remainder_symbol(a: WickSymbol, alpha) -> WickSymbol:
             try:
                 out[key] = out.get(key, 0.0) + c * (count * m / (m + k.degree()))
             except OverflowError as exc:  # count is past float64's range
-                raise NumericalError(f"the remainder symbol of order {alpha} has a factor over "
-                                     f"float64's range at the term ({A}, {B})") from exc
+                raise NumericalError(f"a factor of the remainder symbol of order {alpha} is "
+                                     f"past float64's range") from exc
     return WickSymbol(a.dimension, out)
 
 

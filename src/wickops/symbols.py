@@ -174,8 +174,8 @@ class WickSymbol(_TermSymbol):
             try:
                 out[key] = out.get(key, 0.0) + factor * c
             except OverflowError as exc:  # factor is past float64's range
-                raise NumericalError(f"the derivative of order ({alpha}, {beta}) of the term "
-                                     f"({a}, {b}) has a factor over float64's range") from exc
+                raise NumericalError(f"a factor of the derivative of order ({alpha}, {beta}) "
+                                     f"is past float64's range") from exc
         return WickSymbol(self.dimension, out)
 
     def scaled(self, factor) -> "WickSymbol":

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.analysis import fit_norm_growth, garding_check
+from wickops.analysis import default_diag_grid, fit_norm_growth, garding_check
 from wickops.bargmann import (bargmann_integral, bargmann_kernel, evaluate_fock,
                               fock_inner_quadrature, gaussian_plane_rule, reproducing_quadrature)
 import wickops
@@ -25,13 +26,13 @@ from wickops import symbols
 from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, NumericalError,
                           UsageError, basis_size, enumerate_basis, gauss_hermite, power_tables,
                           tensor_rule)
-from wickops.expansion import diagonal_derivative_symbol, remainder_symbol
+from wickops.expansion import decompose, diagonal_derivative_symbol, remainder_symbol
 from wickops.hermite import (CREATION, LadderKind, apply_hermite_operator, apply_ladder,
                              hermite_coefficients, hermite_function, norm_growth_probe,
                              synthesize)
 from wickops.symbols import (OperatorMatrix, RealSymbol, ShubinWeight, WickSymbol, kn_matrix,
                              pair_grid, real_to_wick_symbol, shubin_estimate_check,
-                             symbol_bound_check, wick_apply_quadrature, wick_matrix)
+                             symbol_bound_check, weyl_matrix, wick_apply_quadrature, wick_matrix)
 
 OSC = WickSymbol(1, {((1,), (1,)): 1.0})
 POINT = WickSymbol(1, {((1,), (1,)): 1.0}, point_symbol=True)
@@ -56,6 +57,19 @@ W300 = WickSymbol(1, {((0,), (300,)): 1.0})
 H65 = CoefficientExpansion(65, HERMITE, {(0,) * 65: 1.0})
 TENSOR_65 = "a tensor rule in dimension 65 is over the budget of 64 coordinates"
 ONE_NODE = ["hermite-coeffs", "--degree", "0", "--quad-order", "1"]
+# x^400: row 400 of the 1-d factor's column 0 is sqrt(400! / 2^400), about 5e373
+X400_WEYL = RealSymbol(1, "weyl", {((400,), (0,)): 1.0})
+X400_KN = RealSymbol(1, "kohn_nirenberg", {((400,), (0,)): 1.0})
+# xi^340: that entry, sqrt(340! / 2^340), is finite, and the power D^340 overflows
+XI340 = RealSymbol(1, "kohn_nirenberg", {((0,), (340,)): 1.0})
+# 1e308 conj(w)^3 sends e_3 to sqrt(6) 1e308 e_0
+W3_HUGE = WickSymbol(1, {((0,), (3,)): 1e308})
+# d_z dbar_w of z^(10^309) conj(w) has the factor 10^309
+Z_HUGE = WickSymbol(1, {((10**309,), (1,)): 1.0})
+# the remainder of order 1 of z^(10^200 + 1) conj(w)^3 has the factor C(10^200, 2)
+Z_LARGE = WickSymbol(1, {((10**200 + 1,), (3,)): 1.0})
+EMPTY_40, EMPTY_65 = WickSymbol(40, {}), WickSymbol(65, {})
+EMPTY_1000, EMPTY_100000 = WickSymbol(1000, {}), WickSymbol(100000, {})
 
 
 def _wick_power(exponent):
@@ -77,6 +91,9 @@ REFUSALS = [
      "dimension must be >= 1", None),
     ("basis_size-degree", lambda: basis_size(2, -1), UsageError,
      "degree bound must be >= 0", None),
+    ("enumerate_basis-budget", lambda: enumerate_basis(1000, 2), UsageError,
+     "the basis of degree <= 2 in dimension 1000 has 501501000 entries, over the budget of "
+     "1000000", None),
     ("power_tables-budget", lambda: power_tables(np.zeros((625, 1), dtype=complex), 10**5),
      UsageError, "take 62500625 entries, over the budget of 10000000",
      (_wick_power(10**5), ["bound-check", "--mode", "gs"])),
@@ -214,17 +231,47 @@ REFUSALS = [
     ("shubin_estimate_check-grid",
      lambda: shubin_estimate_check(OSC, ShubinWeight(2.0), 1, 0, EMPTY_GRID), UsageError,
      "bound check requires a non-empty grid", None),
+    ("weyl_matrix-factor", lambda: weyl_matrix(X400_WEYL, 0), NumericalError,
+     "the matrix factor of the term (400, 0) at degree 0 overflows float64",
+     (X400_WEYL.to_json_dict(), ["weyl-matrix", "--degree", "0"])),
+    ("kn_matrix-factor", lambda: kn_matrix(X400_KN, 0), NumericalError,
+     "the matrix factor of the term (400, 0) at degree 0 overflows float64",
+     (X400_KN.to_json_dict(), ["kn-matrix", "--degree", "0"])),
+    ("kn_matrix-factor-products", lambda: kn_matrix(XI340, 0), NumericalError,
+     "the matrix factor of the term (0, 340) at degree 0 overflows float64",
+     (XI340.to_json_dict(), ["kn-matrix", "--degree", "0"])),
+    ("wick_matrix-entries", lambda: wick_matrix(W3_HUGE, 3), NumericalError,
+     "the matrix entries overflow float64",
+     (W3_HUGE.to_json_dict(), ["wick-matrix", "--degree", "3"])),
+    ("derivative-factor", lambda: Z_HUGE.derivative((1,), (1,)), NumericalError,
+     "a factor of the derivative of order ((1,), (1,)) is past float64's range",
+     (Z_HUGE.to_json_dict(), ["expand-antiwick", "--order", "0"])),
+    ("remainder_symbol-factor", lambda: remainder_symbol(Z_LARGE, (1,)), NumericalError,
+     "a factor of the remainder symbol of order (1,) is past float64's range", None),
+    ("pair_grid-dimension", lambda: pair_grid(65, 4.0, 1), UsageError,
+     "a grid in dimension 65 is over the budget of 64 coordinates",
+     (EMPTY_65.to_json_dict(), ["bound-check", "--grid-points", "1"])),
     # hermite
     ("tensor_rule-dimension-65", lambda: tensor_rule(gauss_hermite(1), 65), UsageError, TENSOR_65,
      ({"dimension": 65, "expression": "x0"}, ONE_NODE)),
     ("hermite_coefficients-dimension-65", lambda: hermite_coefficients(H65, 65, 0, 1), UsageError,
      TENSOR_65, (H65.to_json_dict(), ONE_NODE)),
     # expansion
+    ("decompose-budget", lambda: decompose(EMPTY_40, 3), UsageError,
+     "135751 decomposition terms (multi-indices of degree <= 4 in dimension 40) are over the "
+     "budget of 10000", (EMPTY_40.to_json_dict(), ["expand-antiwick", "--order", "3"])),
+    ("decompose-budget-d1000", None, UsageError, "501501 decomposition terms",
+     (EMPTY_1000.to_json_dict(), ["expand-antiwick", "--order", "1"])),
+    ("decompose-budget-d100000", None, UsageError, "100001 decomposition terms",
+     (EMPTY_100000.to_json_dict(), ["expand-antiwick", "--order", "0"])),
     ("diagonal_derivative_symbol-point", lambda: diagonal_derivative_symbol(POINT, (1,)),
      UsageError, "diagonal derivatives apply to standard Wick symbols", None),
     ("remainder_symbol-point", lambda: remainder_symbol(POINT, (1,)), UsageError,
      "remainder symbols apply to standard Wick symbols", None),
     # analysis
+    ("default_diag_grid-dimension", lambda: default_diag_grid(100000), UsageError,
+     "the diagonal grid in dimension 100000 is over the budget of 64 coordinates",
+     (EMPTY_100000.to_json_dict(), ["garding", "--truncations", "2"])),
     ("garding_check-point", lambda: garding_check(POINT, [4]), UsageError,
      "garding_check applies to standard Wick symbols",
      (POINT.to_json_dict(), ["garding", "--truncations", "4"])),
@@ -242,18 +289,24 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error, message, cli", [row[1:] for row in REFUSALS],
                          ids=[row[0] for row in REFUSALS])
 def test_refusal(call, error, message, cli, tmp_path, capsys):
-    if call is not None:
-        with pytest.raises(error) as exc:
-            call()
-        assert type(exc.value) is error and message in str(exc.value)
-    if cli is not None:
-        data, argv = cli
-        inp = tmp_path / "in.json"
-        inp.write_text(json.dumps(data))
-        assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "out.json"),
-                     *argv[1:]]) == EXIT[error]
-        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
-        assert not (tmp_path / "out.json").exists()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if call is not None:
+            with pytest.raises(error) as exc:
+                call()
+            assert type(exc.value) is error and message in str(exc.value)
+        if cli is not None:
+            data, argv = cli
+            inp = tmp_path / "in.json"
+            inp.write_text(json.dumps(data))
+            t0 = time.perf_counter()
+            assert main([argv[0], "--input", str(inp), "--output", str(tmp_path / "out.json"),
+                         *argv[1:]]) == EXIT[error]
+            assert time.perf_counter() - t0 < 1.0
+            (line,) = capsys.readouterr().err.splitlines()
+            assert message in json.loads(line)["error"]["message"]
+            assert not (tmp_path / "out.json").exists()
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_to_wick_budget_comes_before_the_symbol_keys(monkeypatch):
@@ -372,3 +425,40 @@ def test_raw_input_keeps_the_error_contract(command, raw, output):
     assert len(lines) == (code != 0), lines
     if lines:
         assert set(json.loads(lines[0])["error"]) == {"kind", "message"}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("to-wick", "weyl"), ("wick-matrix", "wick"), ("antiwick-matrix", "antiwick"),
+    ("kn-matrix", "kn"), ("weyl-matrix", "weyl")])
+def test_huge_dimension_without_terms_runs(command, kind, tmp_path, capsys):
+    # each degree shell was listed by a recursion d levels deep: a
+    # RecursionError traceback (exit 1)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"dimension": 100000, "kind": kind, "terms": []}))
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(inp), "--output", str(out), "--degree", "0"]) == 0
+    assert capsys.readouterr().err == "" and out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound-check"], "a grid in dimension 10**30 is over the budget of 64 coordinates"),
+    (["garding", "--truncations", "2"],
+     "the diagonal grid in dimension 10**30 is over the budget of 64 coordinates")])
+def test_astronomical_dimension_is_refused_at_once(argv, message, tmp_path):
+    # the grid sizes were exact integer powers with d = 10^30 in the
+    # exponent: the command never returned.  The child process keeps a hang
+    # away from this one.
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"dimension": 10**30, "kind": "wick", "terms": []}))
+    src = str(Path(wickops.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = "import sys; from wickops.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", script, argv[0], "--input", str(inp),
+                           "--output", str(out), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["message"] == message.replace("10**30", str(10**30))
+    assert not out.exists()

@@ -382,6 +382,78 @@ class TestDenseDiagonals:
             assert np.array_equal(tables, table(p, q)[:, :n_in + 1]), (p, q)
 
 
+def _position_momentum_loop(L):
+    """X and D as the ladders' images of each unit vector h_g, one pair of
+    apply_ladder calls per g."""
+    ladders = {CREATION: np.zeros((L, L)), ANNIHILATION: np.zeros((L, L))}
+    for g in range(L):
+        unit = CoefficientExpansion(1, HERMITE, {(g,): 1.0})
+        for kind, T in ladders.items():
+            for (n,), v in apply_ladder(unit, LadderKind(kind)).coeffs.items():
+                if n < L:
+                    T[n, g] = v.real
+    C, A = ladders[CREATION], ladders[ANNIHILATION]
+    return (C + A) / 2, -0.5j * (A - C)
+
+
+class TestPositionMomentum:
+    def test_bitwise_against_unit_vector_loop(self):
+        for L in range(1, 41):
+            for got, want in zip(symbols._position_momentum(L), _position_momentum_loop(L)):
+                assert got.dtype == want.dtype
+                _assert_bitwise(got, want)
+
+    def test_two_ladder_calls(self):
+        with mock.patch.object(symbols, "apply_ladder", wraps=apply_ladder) as ladder:
+            symbols._position_momentum(12)
+        assert ladder.call_count == 2
+
+
+def _power_table(X, D, p, q, quantization):
+    """The 1-d factor of x^p xi^q from matrix powers: X^p D^q
+    (Kohn-Nirenberg), or 2^-p sum_k C(p, k) X^k D^q X^(p-k) (Weyl)."""
+    power = np.linalg.matrix_power
+    if quantization == KOHN_NIRENBERG:
+        return power(X, p) @ power(D, q)
+    return sum(math.comb(p, k) * (power(X, k) @ power(D, q) @ power(X, p - k))
+               for k in range(p + 1)) / 2**p
+
+
+_EXPONENTS = st.integers(0, 5)
+
+
+@st.composite
+def _real_terms(draw):
+    """(d, {(alpha, beta): c}), d <= 2, every exponent <= 5."""
+    d = draw(st.integers(1, 2))
+    index = st.tuples(*[_EXPONENTS] * d)
+    keys = draw(st.lists(st.tuples(index, index), max_size=4, unique=True))
+    return d, {key: draw(_VALUES) for key in keys}
+
+
+class TestRealTablesAgainstPowers:
+    """kn_matrix and weyl_matrix against the same assembly of tables built
+    from matrix powers and the binomial Weyl sum, to 1e-14 of the largest
+    entry."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_real_terms(), st.integers(0, 4), st.sampled_from([KOHN_NIRENBERG, WEYL]))
+    def test_drawn_symbols(self, drawn, n_in, quantization):
+        d, terms = drawn
+        b = RealSymbol(d, quantization, terms)
+        n_out = n_in + b.total_degree
+        X, D = symbols._position_momentum(n_out + 1)
+
+        def table(p, q):
+            return _power_table(X, D, p, q, quantization)
+        want = symbols._assemble(b.terms, d, n_in, n_out,
+                                 lambda pairs: symbols._dense_diagonals(pairs, n_in, n_out, table),
+                                 HERMITE).entries
+        got = _quantization_matrix(b, n_in).entries
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
 class TestSymbolKeys:
     def test_plain_tuple_keys_become_multi_indices(self):
         plain = {((1, 0), (0, 2)): 1.5, ((0, 0), (1, 1)): -2j}
@@ -748,6 +820,46 @@ class TestRealToWickSymbol:
             got = wick_matrix(a, n).embedded(target.codomain_degree)
             assert np.max(np.abs(got.entries - target.entries)) <= 1e-12
 
+
+@st.composite
+def _integer_real_terms(draw):
+    """(d, {(alpha, beta): c}), d <= 2, total degree <= 3, c a small integer
+    times 1 or i: a partial cancellation cannot put an exact Wick
+    coefficient near the cutoff."""
+    d = draw(st.integers(1, 2))
+    keys = draw(st.lists(st.sampled_from(enumerate_symbol_keys(d, 3)), max_size=5, unique=True))
+    units = st.sampled_from([1, -1, 1j, -1j])
+    return d, {key: draw(st.integers(1, 4)) * draw(units) for key in keys}
+
+
+class TestToWickScale:
+    """to-wick(c b) = c to-wick(b): the cutoff and the residual check are
+    relative to the quantization matrix, so no scale drops or adds a term."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_integer_real_terms(), st.sampled_from([KOHN_NIRENBERG, WEYL]),
+           st.floats(-15, 6))
+    def test_scaled_symbol(self, drawn, quant, log_c):
+        d, terms = drawn
+        c = 10.0**log_c
+        a = real_to_wick_symbol(RealSymbol(d, quant, terms))
+        scaled = real_to_wick_symbol(RealSymbol(d, quant, {k: c * v for k, v in terms.items()}))
+        assert scaled.terms.keys() == a.terms.keys()
+        largest = max(map(abs, a.terms.values()), default=0.0)
+        for key, value in a.terms.items():
+            assert abs(scaled.terms[key] - c * value) <= 1e-12 * c * largest
+
+    @pytest.mark.parametrize("c", [1e-15, 1e-13, 1.0, 1e6])
+    def test_xxi_plus_one(self, c):
+        # Weyl c (x xi + 1) is the Wick symbol c (1 + (i/2)(z^2 - conj(w)^2)): at
+        # c = 1e-13 an absolute cutoff dropped every term, and at c = 1e6 a
+        # residual of -1.85e-10 on (1, 1) was kept
+        b = RealSymbol(1, WEYL, {((1,), (1,)): c, ((0,), (0,)): c})
+        a = real_to_wick_symbol(b)
+        want = {((0,), (0,)): c, ((2,), (0,)): 0.5j * c, ((0,), (2,)): -0.5j * c}
+        assert a.terms.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(a.terms[key] - value) <= 1e-12 * c
 
 def _pair_tuples(dimension, radius, points_per_axis):
     """The grid as the list of (z, w) tuples pair_grid once returned: the
