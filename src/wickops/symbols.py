@@ -12,6 +12,7 @@ spectra are wanted (analysis.garding_check).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -379,7 +380,7 @@ def _assemble(terms, d, n_in, n_out, diagonals, side) -> OperatorMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for term, row, col, factor in _entries(list(terms), d, n_in, n_out, diagonals):
             np.add.at(M.reshape(-1), row * n_cols + col, c[term] * factor)
-    if not np.isfinite(M).all():
+    if not np.isfinite(M.view(float)).all():
         raise NumericalError("the matrix entries overflow float64; scale the symbol down or "
                              "lower the degree")
     return OperatorMatrix(d, n_in, n_out, side, M)
@@ -427,8 +428,7 @@ def _acting(terms, n_in: int) -> dict:
     with beta_j - alpha_j > n_in in some coordinate: that coordinate's Fock
     factor acts on no column of degree <= n_in, so they send every column
     to 0, and their offsets need not fit an intp."""
-    return {(a, b): c for (a, b), c in terms.items()
-            if all(bj - aj <= n_in for aj, bj in zip(a, b))}
+    return {(a, b): c for (a, b), c in terms.items() if max(map(operator.sub, b, a)) <= n_in}
 
 
 def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
