@@ -329,26 +329,33 @@ def test_shubin_budget_comes_before_the_derivative_orders(monkeypatch):
         shubin_estimate_check(SHUBIN_D3, ShubinWeight(2.0), 60, 0, pair_grid(3, 4.0, 1))
 
 
-def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
-    # the names x0 .. x{d-1} and the integer q^d were built before any
-    # budget check: a MemoryError traceback (exit 1) under this limit.  The
-    # child process keeps the limit, and a failure, away from this one.
+def _child_refusal(data, argv, tmp_path, timeout, prelude=""):
+    """The message of the CLI's refusal (exit 2, one JSON line, no report) of
+    the input data, run in a child process: it keeps a resource limit set in
+    prelude, a hang or a failure away from this one."""
     inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"dimension": 10**8, "expression": "x0"}))
+    inp.write_text(json.dumps(data))
     src = str(Path(wickops.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-              "from wickops.cli import main; sys.exit(main(sys.argv[1:]))")
+    script = prelude + "import sys; from wickops.cli import main; sys.exit(main(sys.argv[1:]))"
     out = tmp_path / "out.json"
-    proc = subprocess.run([sys.executable, "-c", script, "hermite-coeffs", "--input", str(inp),
-                           "--output", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, argv[0], "--input", str(inp),
+                           "--output", str(out), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["message"] == (
-        "a tensor rule in dimension 100000000 is over the budget of 64 coordinates")
     assert not out.exists()
+    return json.loads(line)["error"]["message"]
+
+
+def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
+    # the names x0 .. x{d-1} and the integer q^d were built before any
+    # budget check: a MemoryError traceback (exit 1) under this limit
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    assert _child_refusal({"dimension": 10**8, "expression": "x0"}, ["hermite-coeffs"], tmp_path,
+                          60, limit) == (
+        "a tensor rule in dimension 100000000 is over the budget of 64 coordinates")
 
 
 # Raw input for every subcommand: each run exits 0, 2, 3 or 4, writes at most
@@ -446,19 +453,6 @@ def test_huge_dimension_without_terms_runs(command, kind, tmp_path, capsys):
      "the diagonal grid in dimension 10**30 is over the budget of 64 coordinates")])
 def test_astronomical_dimension_is_refused_at_once(argv, message, tmp_path):
     # the grid sizes were exact integer powers with d = 10^30 in the
-    # exponent: the command never returned.  The child process keeps a hang
-    # away from this one.
-    inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"dimension": 10**30, "kind": "wick", "terms": []}))
-    src = str(Path(wickops.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    script = "import sys; from wickops.cli import main; sys.exit(main(sys.argv[1:]))"
-    out = tmp_path / "out.json"
-    proc = subprocess.run([sys.executable, "-c", script, argv[0], "--input", str(inp),
-                           "--output", str(out), *argv[1:]],
-                          env=env, capture_output=True, text=True, timeout=20)
-    assert proc.returncode == EXIT_USAGE, proc.stderr
-    (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["message"] == message.replace("10**30", str(10**30))
-    assert not out.exists()
+    # exponent: the command never returned
+    data = {"dimension": 10**30, "kind": "wick", "terms": []}
+    assert _child_refusal(data, argv, tmp_path, 20) == message.replace("10**30", str(10**30))
