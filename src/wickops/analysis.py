@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    MAX_TENSOR_DIMENSION,
     CoefficientExpansion,
     InputDataError,
     NumericalError,
     UsageError,
+    _tensor_grid,
     basis_size,
 )
 from .symbols import WickSymbol, wick_matrix
@@ -30,10 +30,6 @@ FLAT = "flat_sigma"
 H0 = "h0"
 
 MIN_SHELLS = 4
-
-# Largest default diagonal grid built, in points; the d-fold product grid
-# has 41^d points (68,921 at d = 3, 2,825,761 at d = 4).
-MAX_DIAG_POINTS = 1_000_000
 
 
 @dataclass
@@ -176,24 +172,16 @@ DIAG_ANGLES = 64
 
 def default_diag_grid(dimension: int = 1):
     """Polar grid of DIAG_RADII radii up to DIAG_RADIUS by DIAG_ANGLES angles
-    (d = 1); for d > 1 a coarse per-coordinate polar product is used.
-    Product grids of more than MAX_DIAG_POINTS points or
-    MAX_TENSOR_DIMENSION coordinates are refused before allocation."""
+    (d = 1); for d > 1 the d-fold product of a coarse 41-point polar grid,
+    refused past d = 3 (2,825,761 points at d = 4) by _tensor_nodes before
+    allocation."""
     radii = np.linspace(0.0, DIAG_RADIUS, DIAG_RADII)
     angles = 2.0 * np.pi * np.arange(DIAG_ANGLES) / DIAG_ANGLES
     pts_1d = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if dimension == 1:
         return pts_1d[:, None]
-    if dimension > MAX_TENSOR_DIMENSION:  # before the power, an integer of d log2(41) bits
-        raise UsageError(f"the diagonal grid in dimension {dimension} is over the budget of "
-                         f"{MAX_TENSOR_DIMENSION} coordinates")
     coarse = pts_1d[:: max(1, len(pts_1d) // 40)]
-    n_points = len(coarse) ** dimension
-    if n_points > MAX_DIAG_POINTS:
-        raise UsageError(f"the diagonal grid in dimension {dimension} has {n_points} points, "
-                         f"over the budget of {MAX_DIAG_POINTS}")
-    grids = np.meshgrid(*([coarse] * dimension), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return _tensor_grid(coarse, dimension, "the diagonal grid")
 
 
 STABLE_REL = 0.05

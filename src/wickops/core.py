@@ -154,11 +154,15 @@ def _fixed_degree(d, n):
 
 
 def basis_size(d: int, degree_bound: int) -> int:
-    """len(enumerate_basis(d, degree_bound)), in closed form."""
+    """len(enumerate_basis(d, degree_bound)), in closed form; it is at least
+    2^min(d, degree_bound), so past 2^64 it is refused before math.comb."""
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
     if degree_bound < 0:
         raise UsageError(f"degree bound must be >= 0, got {degree_bound}")
+    if min(degree_bound, d) > 64:
+        raise UsageError(f"the basis of degree <= {degree_bound} in dimension {d} has over "
+                         f"2^64 elements, over every budget; lower the degree or the dimension")
     return math.comb(degree_bound + d, d)
 
 
@@ -238,20 +242,33 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
-def _tensor_nodes(q: int, d: int) -> int:
-    """Node count q^d of the d-fold tensor product of a q-point rule; rules
-    over MAX_QUAD_NODES nodes or MAX_TENSOR_DIMENSION coordinates are refused,
-    so callers check before they allocate anything of that size."""
+def _tensor_nodes(q: int, d: int, name: str) -> int:
+    """Point count q^d of the d-fold tensor grid of q values per coordinate,
+    named `name` in its refusals: grids over MAX_TENSOR_DIMENSION
+    coordinates or MAX_QUAD_NODES points are refused, so callers check
+    before they allocate anything of that size."""
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
     if d > MAX_TENSOR_DIMENSION:  # before q^d, an integer of d log2(q) bits
-        raise UsageError(f"a tensor rule in dimension {d} is over the budget of "
+        raise UsageError(f"{name} in dimension {d} is over the budget of "
                          f"{MAX_TENSOR_DIMENSION} coordinates")
-    n_nodes = q ** d
-    if n_nodes > MAX_QUAD_NODES:
-        raise UsageError(f"a {q}-point rule in dimension {d} has {n_nodes} tensor nodes, "
-                         f"over the budget of {MAX_QUAD_NODES}; lower the quadrature order")
-    return n_nodes
+    # from q = 2^64 on, q^d is over the budget and may have more digits than str prints
+    n_points = q ** d if q < 2**64 else None
+    if n_points is None or n_points > MAX_QUAD_NODES:
+        raise UsageError(f"{name} in dimension {d} has {n_points or 'over 2^64'} points, over the "
+                         f"budget of {MAX_QUAD_NODES}; use fewer points per coordinate or fewer "
+                         f"coordinates")
+    return n_points
+
+
+def _tensor_grid(values, d: int, name: str) -> np.ndarray:
+    """Every d-tuple of the 1-d array values as a (q^d, d) array, the first
+    coordinate varying slowest; refused by _tensor_nodes, named `name`,
+    before allocation."""
+    q = len(values)
+    _tensor_nodes(q, d, name)
+    return np.stack([np.tile(np.repeat(values, q ** (d - 1 - j)), q ** j) for j in range(d)],
+                    axis=1)
 
 
 def tensor_rule(rule: QuadratureRule, d: int):
@@ -262,9 +279,7 @@ def tensor_rule(rule: QuadratureRule, d: int):
     (order,) * d; weights is the product weight.  Rules of more than
     MAX_QUAD_NODES nodes are refused before allocation.
     """
-    _tensor_nodes(rule.order, d)
-    grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
+    points = _tensor_grid(rule.nodes, d, "a tensor rule")
     weights = reduce(np.multiply.outer, [rule.weights] * d).ravel()
     return points, weights
 

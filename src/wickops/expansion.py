@@ -28,8 +28,8 @@ import numpy as np
 from .core import FOCK, MultiIndex, NumericalError, UsageError, basis_size, enumerate_basis
 from .symbols import OperatorMatrix, WickSymbol, antiwick_matrix, wick_matrix
 
-# most terms (multi-indices alpha with |alpha| <= order + 1) decompose lists:
-# each one is a derivative symbol and a record in the report
+# most terms decompose lists (alpha with |alpha| <= order + 1, each a symbol and
+# a record in the report), and most a remainder symbol's closed form sums
 MAX_DECOMPOSITION_TERMS = 10_000
 
 
@@ -103,8 +103,13 @@ def remainder_symbol(a: WickSymbol, alpha) -> WickSymbol:
     m = alpha.degree()
     if m < 1:
         raise UsageError("remainder terms require |alpha| >= 1")
+    derived = a.derivative(alpha, alpha).terms
+    n_terms = sum(math.prod(min(aj, bj) + 1 for aj, bj in zip(A, B)) for A, B in derived)
+    if n_terms > MAX_DECOMPOSITION_TERMS:  # before any range below is built
+        raise UsageError(f"the remainder symbol of order {alpha} is a sum of more than "
+                         f"{MAX_DECOMPOSITION_TERMS} terms; lower the symbol's degree")
     out = {}
-    for (A, B), c in a.derivative(alpha, alpha).terms.items():
+    for (A, B), c in derived.items():
         for k in product(*(range(min(aj, bj) + 1) for aj, bj in zip(A, B))):
             k = MultiIndex(k)
             count = 1

@@ -117,7 +117,7 @@ def hermite_coefficients(f, dimension: int, degree_bound: int,
         if f.side != HERMITE or f.dimension != dimension:
             raise UsageError(f"expected a hermite-side expansion in dimension {dimension}, "
                              f"got a {f.side}-side one in dimension {f.dimension}")
-        _tensor_nodes(quad_order, dimension)
+        _tensor_nodes(quad_order, dimension, "a tensor rule")
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             block = _tensor_values(f, rule.nodes)
         if not np.all(np.isfinite(block)):
@@ -156,15 +156,12 @@ def _tensor_values(f: CoefficientExpansion, nodes_1d) -> np.ndarray:
 
     h_a is a product over coordinates, so the coefficients are scattered
     into an (N+1)^d block and each axis is contracted with the 1-d table
-    h_0 .. h_N; no (terms x points) table is built.  Blocks over
-    MAX_QUAD_NODES entries are refused, which with a grid inside the same
-    budget bounds every intermediate.
+    h_0 .. h_N; no (terms x points) table is built.  Blocks over the
+    budgets of _tensor_nodes are refused, which with a grid inside the same
+    budgets bounds every intermediate.
     """
     d, n = f.dimension, f.degree_bound
-    if (n + 1) ** d > MAX_QUAD_NODES:
-        raise UsageError(f"an expansion of degree {n} in dimension {d} fills a "
-                         f"{(n + 1) ** d}-entry coefficient block, over the budget of "
-                         f"{MAX_QUAD_NODES}")
+    _tensor_nodes(n + 1, d, f"the coefficient block of degree {n}")
     block = np.zeros((n + 1,) * d, dtype=complex)
     if f.coeffs:
         block[tuple(np.array(list(f.coeffs)).T)] = list(f.coeffs.values())
@@ -235,15 +232,15 @@ def norm_growth_probe(f: CoefficientExpansion, n_max: int,
     The default grid is the box [-L, L]^d with L at the classical
     turning-point radius of the highest iterate, where Hermite mass
     concentrates, sampled axis by axis; a given (n, d) grid goes through
-    synthesize.  Grids over MAX_QUAD_NODES points are refused before any
-    sample is taken.
+    synthesize.  Grids over the budgets of _tensor_nodes are refused before
+    any sample is taken.
     """
     if f.side != HERMITE:
         raise UsageError("norm_growth_probe expects a hermite-side expansion")
     if grid is None:
         L = math.sqrt(4.0 * n_max + 2.0 * f.degree_bound + 2.0)
         axis = np.linspace(-L, L, _PROBE_POINTS)
-        n_points = len(axis) ** f.dimension
+        n_points = _tensor_nodes(len(axis), f.dimension, "the probe grid")
         sample = lambda g: _tensor_values(g, axis)  # noqa: E731
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))

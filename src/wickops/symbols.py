@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     FOCK,
     HERMITE,
-    MAX_TENSOR_DIMENSION,
     CoefficientExpansion,
     InputDataError,
     MultiIndex,
@@ -32,6 +31,8 @@ from .core import (
     UsageError,
     _basis_array,
     _rank_table,
+    _tensor_grid,
+    _tensor_nodes,
     basis_size,
     enumerate_basis,
     grlex_key,
@@ -47,10 +48,6 @@ from .hermite import ANNIHILATION, CREATION, LadderKind, apply_ladder
 
 KOHN_NIRENBERG = "kohn_nirenberg"
 WEYL = "weyl"
-
-# largest (z, w) grid pair_grid builds: the bound checks hold several complex
-# arrays of this length
-MAX_GRID_PAIRS = 1_000_000
 
 # most (derivative order, N) records shubin_estimate_check lists, each one
 # pass over the grid and about 360 bytes of report
@@ -490,11 +487,12 @@ def _position_momentum(L: int):
 
 
 def _dense_diagonals(pairs, n_in: int, n_out: int, table):
-    """The dense (L, L) factors table(p, q), L = n_out + 1, of the pairs as
-    _entries takes them: their non-zero diagonals on the column degrees
-    0 .. n_in, found in one pass over all pairs."""
-    tables = np.array([table(p, q) for p, q in pairs]).reshape(len(pairs), n_out + 1, n_out + 1)
-    pair, out, g = np.nonzero(tables[:, :, :n_in + 1])
+    """The dense factors table(p, q), n_out + 1 rows by n_in + 1 columns or
+    more, of the pairs as _entries takes them: their non-zero diagonals on
+    the column degrees 0 .. n_in, found in one pass over all pairs."""
+    tables = np.array([table(p, q)[:, :n_in + 1] for p, q in pairs]).reshape(
+        len(pairs), n_out + 1, n_in + 1)
+    pair, out, g = np.nonzero(tables)
     kept = np.zeros((len(pairs), n_in + n_out + 1), dtype=bool)
     kept[pair, out - g + n_in] = True
     pair, shifted = np.nonzero(kept)
@@ -531,12 +529,14 @@ def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
                            key=lambda g: _log_top(g, p + q) > _LOG_FLOAT_MAX)]
         if bad[0] > n_in:
             # Op(x c) = X Op(c) (Kohn-Nirenberg) or (X Op(c) + Op(c) X)/2 (Weyl);
-            # each step moves the degree by one, so columns <= n_in stay exact
+            # each step moves the degree by one, so columns <= n_in stay exact, and
+            # with s steps left those <= n_in + s suffice: no unused column is read
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                T = np.linalg.matrix_power(D, q)
-                for _ in range(p):
-                    T = (X @ T + T @ X) / 2 if weyl else X @ T
-            bad = np.flatnonzero(~np.isfinite(T[:, :n_in + 1]).all(axis=0))
+                T = np.linalg.matrix_power(D, q)[:, :n_in + p + 1]
+                for s in reversed(range(p)):
+                    kept = T[:, :n_in + s + 1]
+                    T = (X @ kept + T @ X[:n_in + s + 2, :n_in + s + 1]) / 2 if weyl else X @ kept
+            bad = np.flatnonzero(~np.isfinite(T).all(axis=0))
         if len(bad):
             raise NumericalError(f"the matrix factor of the term ({p}, {q}) at degree "
                                  f"{bad[0]} overflows float64; lower the exponents or the degree")
@@ -698,27 +698,18 @@ def pair_grid(dimension: int = 1, radius: float = 4.0, points_per_axis: int = 7)
     arrays z and w, pair i being (z[i], w[i]); desk-scale default.
 
     z varies slowest, then w; within a point the coordinates in order, and
-    within a coordinate the real part before the imaginary part.  Grids of
-    more than MAX_GRID_PAIRS pairs or MAX_TENSOR_DIMENSION coordinates are
-    refused before allocation."""
+    within a coordinate the real part before the imaginary part.  The
+    points_per_axis^4 values of (z_j, w_j) per coordinate are checked by
+    _tensor_nodes before allocation."""
     if points_per_axis < 1:
         raise UsageError(f"a grid needs at least 1 point per axis, got {points_per_axis}")
-    if dimension > MAX_TENSOR_DIMENSION:  # before the power, an integer of d log2(points) bits
-        raise UsageError(f"a grid in dimension {dimension} is over the budget of "
-                         f"{MAX_TENSOR_DIMENSION} coordinates")
-    n_pairs = points_per_axis ** (4 * dimension)
-    if n_pairs > MAX_GRID_PAIRS:
-        raise UsageError(f"a grid of {points_per_axis} points per axis in dimension "
-                         f"{dimension} has {n_pairs} (z, w) pairs, over the budget of "
-                         f"{MAX_GRID_PAIRS}; use fewer grid points")
+    _tensor_nodes(points_per_axis ** 4, dimension, "a grid")
     if not math.isfinite(2.0 * radius):  # the axis's length
         raise UsageError(f"a grid of radius {radius:g} overflows float64; use a smaller radius")
     axis = np.linspace(-radius, radius, points_per_axis)
     values = np.empty((points_per_axis, points_per_axis), dtype=complex)
     values.real, values.imag = axis[:, None], axis[None, :]
-    # every choice of one value per coordinate, the first coordinate slowest
-    choice = np.indices((points_per_axis**2,) * dimension).reshape(dimension, -1).T
-    singles = values.ravel()[choice]
+    singles = _tensor_grid(values.ravel(), dimension, "a grid")
     return np.repeat(singles, len(singles), axis=0), np.tile(singles, (len(singles), 1))
 
 

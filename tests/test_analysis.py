@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.core import (HERMITE, CoefficientExpansion, InputDataError, UsageError, basis_size,
-                          enumerate_basis)
+from wickops.core import (HERMITE, MAX_QUAD_NODES, CoefficientExpansion, InputDataError,
+                          UsageError, basis_size, enumerate_basis)
 from wickops.hermite import norm_growth_probe
 from wickops.symbols import WickSymbol, wick_matrix
 from wickops.analysis import (
     FLAT,
     H0,
-    MAX_DIAG_POINTS,
     ROUMIEU,
     S_BRACKET,
     _roumieu_residual,
@@ -268,7 +267,7 @@ class TestDiagGridBudget:
         assert default_diag_grid(3).shape == (41**3, 3)
 
     def test_four_dimensional_grid_is_refused(self):
-        with pytest.raises(UsageError, match=f"2825761 points.*{MAX_DIAG_POINTS}"):
+        with pytest.raises(UsageError, match=f"2825761 points.*{MAX_QUAD_NODES}"):
             default_diag_grid(4)
         a = WickSymbol(4, {((1, 0, 0, 0), (1, 0, 0, 0)): 1.0})
         with pytest.raises(UsageError):

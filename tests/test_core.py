@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from wickops.core import (
     UsageError,
     _basis_array,
     _rank_table,
+    _tensor_grid,
     basis_size,
     enumerate_basis,
     expansion_inner,
@@ -21,6 +23,8 @@ from wickops.core import (
     grlex_key,
     tensor_rule,
 )
+from wickops.analysis import default_diag_grid
+from wickops.symbols import pair_grid
 
 
 class TestMultiIndex:
@@ -121,6 +125,74 @@ class TestBasisSizeAndRank:
     @pytest.mark.parametrize("cached", [enumerate_basis, _basis_array, _rank_table])
     def test_basis_caches_are_bounded(self, cached):
         assert cached.cache_info().maxsize is not None
+
+
+def _meshgrid_points(values, d):
+    """The tensor grid as tensor_rule and default_diag_grid once built it."""
+    grids = np.meshgrid(*([values] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _indices_pairs(d, radius, points_per_axis):
+    """pair_grid's arrays as it once built them."""
+    axis = np.linspace(-radius, radius, points_per_axis)
+    values = np.empty((points_per_axis, points_per_axis), dtype=complex)
+    values.real, values.imag = axis[:, None], axis[None, :]
+    choice = np.indices((points_per_axis**2,) * d).reshape(d, -1).T
+    singles = values.ravel()[choice]
+    return np.repeat(singles, len(singles), axis=0), np.tile(singles, (len(singles), 1))
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestTensorGrid:
+    """_tensor_grid against itertools.product, and the three grids built on
+    it against the constructions they replaced, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=5), st.integers(1, 4),
+           st.sampled_from([float, complex]))
+    def test_every_tuple_in_product_order(self, values, d, dtype):
+        values = np.array(values, dtype=dtype)
+        want = np.array(list(itertools.product(values, repeat=d)), dtype=dtype)
+        _assert_same_bytes(_tensor_grid(values, d, "a grid"), want)
+
+    @pytest.mark.parametrize("order, d", [(1, 1), (7, 1), (26, 3), (5, 4), (2, 6), (1, 32)])
+    def test_tensor_rule_points(self, order, d):
+        rule = gauss_hermite(order)
+        _assert_same_bytes(tensor_rule(rule, d)[0], _meshgrid_points(rule.nodes, d))
+
+    @pytest.mark.parametrize("d", [33, 64])
+    def test_tensor_rule_past_32_coordinates(self, d):
+        # np.meshgrid broadcasts at most 32 arrays: a RuntimeError traceback
+        points, weights = tensor_rule(gauss_hermite(1), d)
+        assert points.shape == (1, d) and not points.any()
+        assert weights.shape == (1,) and math.isclose(weights[0], math.pi ** (d / 2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_default_diag_grid(self, d):
+        polar = default_diag_grid(1)[:, 0]
+        coarse = polar[:: max(1, len(polar) // 40)]
+        _assert_same_bytes(default_diag_grid(d), _meshgrid_points(coarse, d))
+
+    @pytest.mark.parametrize("d, radius, points_per_axis",
+                             [(1, 4.0, 7), (1, 2.5, 1), (2, 4.0, 3), (2, 1.5, 4), (3, 1.0, 2)])
+    def test_pair_grid(self, d, radius, points_per_axis):
+        for got, want in zip(pair_grid(d, radius, points_per_axis),
+                             _indices_pairs(d, radius, points_per_axis)):
+            _assert_same_bytes(got, want)
+
+    def test_refusals_name_the_grid(self):
+        with pytest.raises(UsageError, match="^the diagonal grid in dimension 4 has 2825761 "
+                                             "points, over the budget of 1000000"):
+            default_diag_grid(4)
+        with pytest.raises(UsageError, match="^a grid in dimension 65 is over the budget of 64"):
+            pair_grid(65, 4.0, 1)
+        with pytest.raises(UsageError, match="^a tensor rule in dimension 2 has 1002001 points"):
+            _tensor_grid(np.zeros(1001), 2, "a tensor rule")
 
 
 def double_factorial_moment(k):

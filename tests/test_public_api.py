@@ -31,11 +31,13 @@ EXPORTS = {
 }
 
 # deleted: test-only wrappers, the list-of-pairs grid and JSON helpers, the
-# basis index dict (positions come from enumerate_basis or the rank table) and
-# the falling factorials (math.perm)
+# basis index dict (positions come from enumerate_basis or the rank table), the
+# falling factorials (math.perm) and the per-grid budgets (core._tensor_nodes
+# checks every tensor grid against MAX_QUAD_NODES)
 DELETED = ("FockPoint", "bilinear_pairing", "sesquilinear_pairing", "wick_kernel",
            "inverse_bargmann_coeff", "matrix_apply_at_point", "quantization_matrix",
-           "_stack_grid", "_terms_from_json", "basis_index_map", "_falling", "_falling_multi")
+           "_stack_grid", "_terms_from_json", "basis_index_map", "_falling", "_falling_multi",
+           "MAX_GRID_PAIRS", "MAX_DIAG_POINTS")
 
 MODULES = [importlib.import_module(f"wickops.{info.name}")
            for info in pkgutil.iter_modules(wickops.__path__)]

@@ -27,9 +27,9 @@ from wickops.core import (FOCK, HERMITE, CoefficientExpansion, InputDataError, N
                           UsageError, basis_size, enumerate_basis, gauss_hermite, power_tables,
                           tensor_rule)
 from wickops.expansion import decompose, diagonal_derivative_symbol, remainder_symbol
-from wickops.hermite import (CREATION, LadderKind, apply_hermite_operator, apply_ladder,
-                             hermite_coefficients, hermite_function, norm_growth_probe,
-                             synthesize)
+from wickops.hermite import (CREATION, LadderKind, _tensor_values, apply_hermite_operator,
+                             apply_ladder, hermite_coefficients, hermite_function,
+                             norm_growth_probe, synthesize)
 from wickops.symbols import (OperatorMatrix, RealSymbol, ShubinWeight, WickSymbol, kn_matrix,
                              pair_grid, real_to_wick_symbol, shubin_estimate_check,
                              symbol_bound_check, weyl_matrix, wick_apply_quadrature, wick_matrix)
@@ -55,6 +55,7 @@ Z1000 = WickSymbol(1, {((1000,), (0,)): 1.0})
 # conj(w)^300 sends e_g to g!/(g - 300)! sqrt((g - 300)!/g!) e_(g - 300): 300! overflows
 W300 = WickSymbol(1, {((0,), (300,)): 1.0})
 H65 = CoefficientExpansion(65, HERMITE, {(0,) * 65: 1.0})
+H20000 = CoefficientExpansion(20000, HERMITE, {(0,) * 20000: 1.0})
 TENSOR_65 = "a tensor rule in dimension 65 is over the budget of 64 coordinates"
 ONE_NODE = ["hermite-coeffs", "--degree", "0", "--quad-order", "1"]
 # x^400: row 400 of the 1-d factor's column 0 is sqrt(400! / 2^400), about 5e373
@@ -69,6 +70,10 @@ Z_HUGE = WickSymbol(1, {((10**309,), (1,)): 1.0})
 # the remainder of order 1 of z^(10^200 + 1) conj(w)^3 has the factor C(10^200, 2)
 Z_LARGE = WickSymbol(1, {((10**200 + 1,), (3,)): 1.0})
 EMPTY_40, EMPTY_65 = WickSymbol(40, {}), WickSymbol(65, {})
+# the remainder of order 1 of z^(10^30) conj(w)^(10^30) sums over 10^30 shifts k
+ZW_HUGE = WickSymbol(1, {((10**30,), (10**30,)): 1.0})
+# ... and of z^(30, 30, 30) conj(w)^(30, 30, 30) over 31^3 = 29,791
+ZW_D3 = WickSymbol(3, {((30, 30, 30), (30, 30, 30)): 1.0})
 EMPTY_1000, EMPTY_100000 = WickSymbol(1000, {}), WickSymbol(100000, {})
 
 
@@ -91,6 +96,9 @@ REFUSALS = [
      "dimension must be >= 1", None),
     ("basis_size-degree", lambda: basis_size(2, -1), UsageError,
      "degree bound must be >= 0", None),
+    ("basis_size-astronomical", lambda: basis_size(10**30, 10**20), UsageError,
+     "the basis of degree <= 100000000000000000000 in dimension "
+     "1000000000000000000000000000000 has over 2^64 elements, over every budget", None),
     ("enumerate_basis-budget", lambda: enumerate_basis(1000, 2), UsageError,
      "the basis of degree <= 2 in dimension 1000 has 501501000 entries, over the budget of "
      "1000000", None),
@@ -133,6 +141,16 @@ REFUSALS = [
      "the Hermite operator acts on hermite-side expansions", None),
     ("norm_growth_probe-side", lambda: norm_growth_probe(F_F, 3), UsageError,
      "norm_growth_probe expects a hermite-side expansion", None),
+    ("norm_growth_probe-dimension-65", lambda: norm_growth_probe(H65, 0), UsageError,
+     "the probe grid in dimension 65 is over the budget of 64 coordinates", None),
+    ("norm_growth_probe-dimension-20000", lambda: norm_growth_probe(H20000, 0), UsageError,
+     "the probe grid in dimension 20000 is over the budget of 64 coordinates", None),
+    ("_tensor_values-dimension-65", lambda: _tensor_values(H65, np.zeros(1)), UsageError,
+     "the coefficient block of degree 0 in dimension 65 is over the budget of 64 coordinates",
+     None),
+    ("_tensor_values-dimension-20000", lambda: _tensor_values(H20000, np.zeros(1)), UsageError,
+     "the coefficient block of degree 0 in dimension 20000 is over the budget of 64 coordinates",
+     None),
     # bargmann
     ("bargmann_kernel-dimension", lambda: bargmann_kernel(np.zeros(2), np.zeros(1)), UsageError,
      "dimension mismatch between z and y", None),
@@ -251,6 +269,10 @@ REFUSALS = [
     ("pair_grid-dimension", lambda: pair_grid(65, 4.0, 1), UsageError,
      "a grid in dimension 65 is over the budget of 64 coordinates",
      (EMPTY_65.to_json_dict(), ["bound-check", "--grid-points", "1"])),
+    # (10^1100)^4 grid points have more digits than str prints
+    ("pair_grid-points-astronomical", lambda: pair_grid(1, 4.0, 10**1100), UsageError,
+     "a grid in dimension 1 has over 2^64 points, over the budget of 1000000",
+     (OSC.to_json_dict(), ["bound-check", "--grid-points", str(10**1100)])),
     # hermite
     ("tensor_rule-dimension-65", lambda: tensor_rule(gauss_hermite(1), 65), UsageError, TENSOR_65,
      ({"dimension": 65, "expression": "x0"}, ONE_NODE)),
@@ -268,6 +290,11 @@ REFUSALS = [
      UsageError, "diagonal derivatives apply to standard Wick symbols", None),
     ("remainder_symbol-point", lambda: remainder_symbol(POINT, (1,)), UsageError,
      "remainder symbols apply to standard Wick symbols", None),
+    ("remainder_symbol-budget", lambda: remainder_symbol(ZW_HUGE, (1,)), UsageError,
+     "the remainder symbol of order (1,) is a sum of more than 10000 terms; lower the symbol's",
+     (ZW_HUGE.to_json_dict(), ["expand-antiwick", "--order", "0"])),
+    ("remainder_symbol-budget-d3", lambda: remainder_symbol(ZW_D3, (1, 0, 0)), UsageError,
+     "the remainder symbol of order (1, 0, 0) is a sum of more than 10000 terms", None),
     # analysis
     ("default_diag_grid-dimension", lambda: default_diag_grid(100000), UsageError,
      "the diagonal grid in dimension 100000 is over the budget of 64 coordinates",
@@ -456,3 +483,13 @@ def test_astronomical_dimension_is_refused_at_once(argv, message, tmp_path):
     # exponent: the command never returned
     data = {"dimension": 10**30, "kind": "wick", "terms": []}
     assert _child_refusal(data, argv, tmp_path, 20) == message.replace("10**30", str(10**30))
+
+
+@pytest.mark.parametrize("dimension, degree", [(2**40, 2**40), (2**40, 10**20), (10**30, 10**20)])
+def test_astronomical_basis_is_refused_at_once(dimension, degree, tmp_path):
+    # math.comb(degree + dimension, dimension) never returned for the first
+    # two, and was an OverflowError traceback for the third
+    data = {"dimension": dimension, "kind": "wick", "terms": []}
+    assert _child_refusal(data, ["wick-matrix", "--degree", str(degree)], tmp_path, 20) == (
+        f"the basis of degree <= {degree} in dimension {dimension} has over 2^64 elements, "
+        f"over every budget; lower the degree or the dimension")

@@ -271,6 +271,15 @@ class TestWeylMatrix:
         bk = RealSymbol(1, KOHN_NIRENBERG, {((1,), (0,)): 1.0})
         assert np.allclose(weyl_matrix(bw, 5).entries, kn_matrix(bk, 5).entries)
 
+    def test_x301_equals_kn(self):
+        # x^301 is the same operator X^301 in both quantizations, with
+        # entries up to 1.66e307; the Weyl steps multiplied overflowed
+        # unused columns by X's zeros, and refused it with NaNs
+        w, k = (build(RealSymbol(1, quantization, {((301,), (0,)): 1.0}), 0).entries
+                for build, quantization in [(weyl_matrix, WEYL), (kn_matrix, KOHN_NIRENBERG)])
+        assert np.max(np.abs(k)) > 1e307
+        assert np.max(np.abs(w - k)) <= 1e-14 * np.max(np.abs(k))
+
 
 def _basis_index(d, n):
     """Position of each multi-index in enumerate_basis(d, n)."""
