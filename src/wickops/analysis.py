@@ -102,21 +102,18 @@ S_TOL = 1e-3
 def classify_decay(c: CoefficientExpansion, family: str = ROUMIEU) -> DecayFit:
     """Fit the requested decay family to the shell maxima of an expansion.
 
-    Expansions with fewer than MIN_SHELLS nonzero shells are classified as
-    finite (family h0) without fitting; the families outside cannot be told
-    apart from so little data.
+    Expansions with fewer than MIN_SHELLS nonzero shells of degree k >= 1,
+    the shells the fits use, are classified as finite (family h0) without
+    fitting; the families outside cannot be told apart from so little data.
     """
     if family not in (ROUMIEU, FLAT):
         raise UsageError(f"family must be '{ROUMIEU}' or '{FLAT}'")
     shells = shell_maxima(c)
-    if len(shells) < MIN_SHELLS:
+    ks = np.array([k for k in shells if k > 0], dtype=float)
+    if ks.size < MIN_SHELLS:
         return DecayFit(family=H0, parameter=0.0, rate=0.0, log_prefactor=0.0,
                         residual=0.0, shells_used=len(shells))
-    ks = np.array([k for k in shells if k > 0], dtype=float)
     logm = np.log(np.array([shells[int(k)] for k in ks]))
-    if ks.size < MIN_SHELLS:
-        raise InputDataError(
-            f"only {ks.size} positive-degree shells; too few to fit (check for h0)")
     if family == ROUMIEU:
         def objective(s):
             return _roumieu_residual(ks, logm, s)[0]

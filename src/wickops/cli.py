@@ -375,9 +375,12 @@ def cmd_bargmann(args):
     if args.cross_check < 0:
         raise UsageError(f"--cross-check must be >= 0, got {args.cross_check}")
     exp = CoefficientExpansion.from_json_dict(_load_json(args.input))
+    if args.cross_check and exp.dimension != 1:
+        raise UsageError(f"--cross-check samples the d = 1 kernel integral; the expansion has "
+                         f"dimension {exp.dimension}")
     F = bargmann_coeff(exp)
     payload = {"result": F.to_json_dict()}
-    if args.cross_check and exp.dimension == 1:
+    if args.cross_check:
         rng = np.random.default_rng(args.seed)
         quad_order = args.quad_order if args.quad_order is not None else 60
         # (k, 1) points z, drawn as k successive (re, im) pairs
@@ -395,9 +398,7 @@ def cmd_bargmann(args):
 
 
 def _matrix_command(args, builder, loader):
-    symbol = loader(_load_json(args.input))
-    degree = args.degree if args.degree is not None else 8
-    M = builder(symbol, degree)
+    M = builder(loader(_load_json(args.input)), args.degree)
     if args.format == "csv":
         return _emit({}, args, csv_lines=_matrix_csv(M))
     return _emit({"result": M.to_json_dict()}, args)
@@ -572,14 +573,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, needs_input=True, needs_output=True):
+    # an option is declared only where it is read, so argparse refuses it elsewhere
+    def add(name, help_, needs_input=True, needs_output=True, csv=False):
         p = sub.add_parser(name, help=help_)
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         if needs_output:
             p.add_argument("--output", required=needs_output, help="output report file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(format="json")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"))
         return p
 
     p = add("hermite-coeffs", "expand a sampled function in Hermite functions")
@@ -588,8 +591,10 @@ def build_parser():
 
     p = add("bargmann", "transform a hermite expansion to the Fock side")
     p.add_argument("--cross-check", type=int, default=0,
-                   help="compare against the kernel integral at this many random points")
+                   help="compare against the kernel integral at this many random points "
+                        "(d = 1 only)")
     p.add_argument("--quad-order", type=int)
+    p.add_argument("--seed", type=int, default=0, help="seed of the cross-check points")
 
     for name, help_ in [
         ("wick-matrix", "matrix of a Wick operator"),
@@ -597,8 +602,8 @@ def build_parser():
         ("kn-matrix", "matrix of a Kohn-Nirenberg quantization"),
         ("weyl-matrix", "matrix of a Weyl quantization"),
     ]:
-        p = add(name, help_)
-        p.add_argument("--degree", type=int, help="domain degree bound (default 8)")
+        p = add(name, help_, csv=True)
+        p.add_argument("--degree", type=int, default=8, help="domain degree bound")
 
     p = add("to-wick", "Wick symbol of a real quantization")
     p.add_argument("--degree", type=int, help="probe degree (default: symbol degree)")
@@ -607,7 +612,7 @@ def build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--trunc-degree", type=int)
 
-    p = add("garding", "spectral lower-bound probe across truncations")
+    p = add("garding", "spectral lower-bound probe across truncations", csv=True)
     p.add_argument("--truncations", required=True, help="comma-separated degrees, e.g. 8,16,32")
 
     p = add("classify", "decay classification of an expansion")
@@ -632,20 +637,11 @@ def build_parser():
     return parser
 
 
-# The subcommands that render a CSV report; main refuses --format csv on any
-# other before it computes anything.
-_CSV_COMMANDS = frozenset({"wick-matrix", "antiwick-matrix", "kn-matrix", "weyl-matrix",
-                           "garding"})
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # looked up by name on each call, so a rebinding of cmd_* takes effect
-        command = globals()["cmd_" + args.command.replace("-", "_")]
-        if args.format == "csv" and args.command not in _CSV_COMMANDS:
-            raise UsageError(f"{args.command} has no CSV rendering; use --format json")
-        command(args)
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         _print_error("usage", exc)
         return EXIT_USAGE
@@ -655,7 +651,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _print_error("numerical", exc)
         return EXIT_NUMERICAL
-    except CalculusError as exc:  # pragma: no cover - base-class fallback
+    except CalculusError as exc:  # the base class, for an error of no other kind
         _print_error("error", exc)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -91,10 +91,6 @@ class MultiIndex(tuple):
             raise UsageError(f"multi-index entries must be non-negative, got {entries}")
         return super().__new__(cls, entries)
 
-    @property
-    def dimension(self) -> int:
-        return len(self)
-
     def degree(self) -> int:
         return sum(self)
 

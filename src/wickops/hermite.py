@@ -232,23 +232,31 @@ def norm_growth_probe(f: CoefficientExpansion, n_max: int,
     The default grid is the box [-L, L]^d with L at the classical
     turning-point radius of the highest iterate, where Hermite mass
     concentrates, sampled axis by axis; a given (n, d) grid goes through
-    synthesize.  Grids over the budgets of _tensor_nodes are refused before
-    any sample is taken.
+    synthesize.  A default grid or coefficient block over the budgets of
+    _tensor_nodes, and more than MAX_QUAD_NODES samples in all, are refused
+    before the radius is computed or any sample is taken.
     """
     if f.side != HERMITE:
         raise UsageError("norm_growth_probe expects a hermite-side expansion")
+    if n_max < 0:
+        raise UsageError(f"n_max must be >= 0, got {n_max}")
     if grid is None:
-        L = math.sqrt(4.0 * n_max + 2.0 * f.degree_bound + 2.0)
-        axis = np.linspace(-L, L, _PROBE_POINTS)
-        n_points = _tensor_nodes(len(axis), f.dimension, "the probe grid")
-        sample = lambda g: _tensor_values(g, axis)  # noqa: E731
+        n_points = _tensor_nodes(_PROBE_POINTS, f.dimension, "the probe grid")
+        _tensor_nodes(f.degree_bound + 1, f.dimension,
+                      f"the coefficient block of degree {f.degree_bound}")
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         n_points = grid.shape[0]
+    if (n_max + 1) * n_points > MAX_QUAD_NODES:
+        raise UsageError(f"the probe samples {n_max + 1} iterates on {n_points} points, over "
+                         f"the budget of {MAX_QUAD_NODES} samples; lower n_max or pass a "
+                         f"smaller grid")
+    if grid is None:
+        L = math.sqrt(4.0 * n_max + 2.0 * f.degree_bound + 2.0)
+        axis = np.linspace(-L, L, _PROBE_POINTS)
+        sample = lambda g: _tensor_values(g, axis)  # noqa: E731
+    else:
         sample = lambda g: synthesize(g, grid)  # noqa: E731
-    if n_points > MAX_QUAD_NODES:
-        raise UsageError(f"the probe grid has {n_points} points, over the budget of "
-                         f"{MAX_QUAD_NODES}; pass a smaller grid")
     sups = np.empty(n_max + 1)
     iterate = f
     for n in range(n_max + 1):

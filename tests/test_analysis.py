@@ -89,6 +89,23 @@ class TestClassifyDecay:
         assert fit.family == H0
         assert fit.shells_used == 2
 
+    @pytest.mark.parametrize("family", [ROUMIEU, FLAT])
+    def test_three_positive_shells_and_the_constant_are_h0(self, family):
+        # h0 is decided on the shells the fits use, those of degree k >= 1:
+        # the constant shell once made this a refused fit of 3 shells
+        c = CoefficientExpansion(1, HERMITE, {(k,): 1.0 for k in range(4)})
+        fit = classify_decay(c, family)
+        assert fit.family == H0
+        assert fit.shells_used == 4
+
+    def test_growing_shells_give_infinite_flat_sigma(self):
+        # M_k = sqrt(k!) fits 1/(2 sigma) = -1/2, outside the family
+        coeffs = {(k,): math.sqrt(math.factorial(k)) for k in range(9)}
+        fit = classify_decay(CoefficientExpansion(1, HERMITE, coeffs), family=FLAT)
+        assert fit.family == FLAT and fit.inconclusive
+        assert fit.parameter == math.inf
+        assert fit.rate == pytest.approx(1.0) and fit.shells_used == 8
+
     def test_flat_family_recovery(self):
         sigma, r = 1.0, 2.0
         coeffs = {(k,): r**k / math.gamma(k + 1.0) ** (1.0 / (2.0 * sigma))
@@ -189,6 +206,12 @@ class TestGardingCheck:
         report = garding_check(WickSymbol(1, {}), [8, 16])
         assert report.min_real_eigenvalues == [0.0, 0.0]
         assert report.stabilized
+
+    def test_one_truncation_is_not_stabilized(self):
+        # stability compares the last two truncations, so one cannot show it
+        report = garding_check(WickSymbol(1, {}), [8])
+        assert report.min_real_eigenvalues == [0.0]
+        assert not report.stabilized
 
     def test_diagonal_symbol_truncation_independent(self):
         a = WickSymbol(1, {((1,), (1,)): 3.0, ((0,), (0,)): -0.5})

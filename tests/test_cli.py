@@ -22,7 +22,8 @@ import wickops.cli
 import wickops.expansion
 from wickops.bargmann import AccuracyWarning, bargmann_coeff, bargmann_integral, evaluate_fock
 from wickops.cli import _write_json, main
-from wickops.core import CoefficientExpansion, HERMITE, InputDataError, MAX_QUAD_NODES
+from wickops.core import (CalculusError, CoefficientExpansion, HERMITE, InputDataError,
+                          MAX_QUAD_NODES)
 from wickops.expansion import decompose
 from wickops.hermite import synthesize
 from wickops.symbols import (MAX_MATRIX_ENTRIES, OperatorMatrix, RealSymbol, WickSymbol,
@@ -121,6 +122,12 @@ class TestMatrixCommands:
         M = entries.reshape(result["n_out"] + 1, result["n_in"] + 1)
         assert np.allclose(np.diag(M)[:6], 2 * np.arange(6) + 1)
 
+    def test_default_degree_is_in_the_report(self, tmp_path, oscillator_wick):
+        out = tmp_path / "out.json"
+        assert main(["wick-matrix", "--input", oscillator_wick, "--output", str(out)]) == 0
+        report = read_json(out)
+        assert report["config"]["degree"] == report["result"]["n_in"] == 8
+
     def test_csv_format(self, tmp_path, oscillator_wick):
         out = tmp_path / "out.csv"
         assert main(["wick-matrix", "--input", oscillator_wick, "--output", str(out),
@@ -201,6 +208,13 @@ class TestClassify:
         assert result["family"] == "roumieu_s"
         assert result["parameter"] == pytest.approx(0.5, abs=0.05)
 
+    def test_three_positive_shells_and_the_constant_are_h0(self, tmp_path):
+        f = CoefficientExpansion(1, HERMITE, {(k,): 1.0 for k in range(4)})
+        inp = write_json(tmp_path / "f.json", f.to_json_dict())
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", inp, "--output", str(out)]) == 0
+        assert read_json(out)["result"]["family"] == "h0"
+
 
 class TestBoundCheck:
     def test_constant_symbol_loss_bounded(self, tmp_path):
@@ -218,7 +232,7 @@ class TestDeterminism:
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
             assert main(["garding", "--input", oscillator_wick, "--output", str(out),
-                         "--truncations", "6,12", "--seed", "3"]) == 0
+                         "--truncations", "6,12"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_bargmann_seeded_cross_check_deterministic(self, tmp_path):
@@ -550,6 +564,7 @@ class TestOutputDirEnv:
 _FLOAT_OPTION_CASES = [
     (["--r", "nan"], 2, "argument --r: invalid finite float value: 'nan'"),
     (["--s", "inf"], 2, "argument --s: invalid finite float value: 'inf'"),
+    (["--s", "abc"], 2, "argument --s: invalid finite float value: 'abc'"),
     (["--mode", "shubin", "--weight-t", "nan"], 2, "argument --weight-t"),
     (["--mode", "shubin", "--rho=-inf"], 2, "argument --rho"),
     (["--grid-radius", "nan"], 2, "argument --grid-radius"),
@@ -612,9 +627,46 @@ class TestErrorExitCodes:
         monkeypatch.setattr(wickops.cli, "classify_decay", lambda *args: calls.append(args))
         assert main(["classify", "--input", inp,
                      "--output", str(tmp_path / "o.csv"), "--format", "csv"]) == 2
-        assert "no CSV rendering" in self._error(capsys, "usage")
+        assert self._error(capsys, "usage") == "wickops: unrecognized arguments: --format csv"
         assert calls == []  # refused before the fit ran
         assert not (tmp_path / "o.csv").exists()
+
+    # each option is taken only by the subcommands that read it: --format by
+    # the four matrix subcommands and garding, --seed by bargmann, whose
+    # cross-check samples the d = 1 kernel integral
+    @pytest.mark.parametrize("argv, data, message", [
+        (["classify", "--format", "json"], {"dimension": 1, "side": "hermite", "coeffs": []},
+         "wickops: unrecognized arguments: --format json"),
+        (["garding", "--truncations", "2", "--seed", "3"],
+         {"dimension": 1, "kind": "wick", "terms": []},
+         "wickops: unrecognized arguments: --seed 3"),
+        (["selftest", "--format", "csv"], None, "wickops: unrecognized arguments: --format csv"),
+        (["bargmann", "--cross-check", "3"],
+         {"dimension": 2, "side": "hermite", "coeffs": [{"index": [1, 0], "value": [1.0, 0.0]}]},
+         "--cross-check samples the d = 1 kernel integral; the expansion has dimension 2"),
+    ], ids=["classify-format", "garding-seed", "selftest-format", "bargmann-cross-check-d2"])
+    def test_option_a_subcommand_does_not_read_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                          argv, data, message):
+        calls = []
+        for name in ("classify_decay", "garding_check", "_selftest_cases", "bargmann_coeff",
+                     "bargmann_integral"):
+            monkeypatch.setattr(wickops.cli, name, lambda *args: calls.append(args))
+        out = tmp_path / "o.json"
+        if data is not None:
+            argv = [argv[0], "--input", write_json(tmp_path / "in.json", data),
+                    "--output", str(out), *argv[1:]]
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert self._error(capsys, "usage") == message
+        assert calls == [] and not out.exists()  # refused before anything ran
+
+    def test_an_error_of_no_other_kind_exits_4(self, capsys, monkeypatch):
+        def fail(args):
+            raise CalculusError("an error of the base class")
+        monkeypatch.setattr(wickops.cli, "cmd_classify", fail)
+        assert main(["classify", "--input", "in.json", "--output", "o.json"]) == 4
+        assert self._error(capsys, "error") == "an error of the base class"
 
     def test_order_zero_expand_is_fine_but_negative_rejected(self, tmp_path,
                                                              oscillator_wick):
@@ -940,7 +992,8 @@ def _input_text(draw, command):
 
 _OPTIONS = {
     "hermite-coeffs": {"degree": st.integers(-1, 6), "quad-order": st.integers(-1, 26)},
-    "bargmann": {"cross-check": st.integers(-2, 4), "quad-order": st.integers(-1, 40)},
+    "bargmann": {"cross-check": st.integers(-2, 4), "quad-order": st.integers(-1, 40),
+                 "seed": st.integers(-1, 3)},
     "wick-matrix": {"degree": st.integers(-1, 5)},
     "antiwick-matrix": {"degree": st.integers(-1, 5)},
     "kn-matrix": {"degree": st.integers(-1, 5)},
@@ -962,6 +1015,8 @@ _OPTIONS = {
                     "grid-points": st.integers(-1, 3)},
 }
 _ALWAYS = ("order", "truncations", "grid-points")
+# the subcommands that take --format, json or csv; the others write JSON
+_CSV_COMMANDS = ("wick-matrix", "antiwick-matrix", "kn-matrix", "weyl-matrix", "garding")
 
 
 @st.composite
@@ -969,9 +1024,19 @@ def _cli_calls(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     options = [f"--{name}={draw(values)}" for name, values in _OPTIONS[command].items()
                if name in _ALWAYS or draw(st.booleans())]
-    options += ["--format=" + draw(_mostly(st.just("json"), st.just("csv")))]
+    if command in _CSV_COMMANDS:
+        options += ["--format=" + draw(_mostly(st.just("json"), st.just("csv")))]
     return command, options, draw(_input_text(command)), draw(_mostly(st.just(True),
                                                                       st.just(False)))
+
+
+def test_format_and_seed_are_declared_where_read():
+    (subcommands,) = [action.choices for action in wickops.cli.build_parser()._actions
+                      if isinstance(action.choices, dict)]
+    declaring = {option: {name for name, parser in subcommands.items()
+                          if option in parser._option_string_actions}
+                 for option in ("--format", "--seed")}
+    assert declaring == {"--format": set(_CSV_COMMANDS), "--seed": {"bargmann"}}
 
 
 class TestFuzzedCalls:
@@ -995,6 +1060,15 @@ class TestFuzzedCalls:
 
 
 class TestSelftest:
+    def test_a_failed_check_is_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(wickops.cli, "_selftest_cases", lambda: [
+            ("passing", 0.0, 1.0, True), ("failing", 2.0, 1.0, False)])
+        assert main(["selftest"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "1/2 oracle checks passed"
+        assert json.loads(captured.err)["error"] == {
+            "kind": "numerical", "message": "1 selftest oracle checks failed"}
+
     def test_all_oracle_checks_pass(self, tmp_path, capsys):
         out = tmp_path / "self.json"
         assert main(["selftest", "--output", str(out)]) == 0

@@ -68,6 +68,16 @@ class TestMultiIndex:
         assert MultiIndex((0, 2)) < MultiIndex((3, 0))
         assert MultiIndex((2, 0)) < MultiIndex((1, 1)) < MultiIndex((0, 2))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(*[st.lists(st.integers(0, 3), min_size=d, max_size=d)] * 2)))
+    def test_every_comparison_is_graded_lex(self, pair):
+        # MultiIndex subclasses tuple: a comparison it did not define would
+        # fall back to lexicographic order without a word
+        a, b = map(MultiIndex, pair)
+        ka, kb = grlex_key(a), grlex_key(b)
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+
 
 class TestEnumerateBasis:
     def test_1d_grading(self):
@@ -325,6 +335,11 @@ class TestCoefficientExpansionContainer:
     def test_degree_bound(self):
         f = CoefficientExpansion(1, HERMITE, {(0,): 1.0, (7,): 0.1})
         assert f.degree_bound == 7
+
+    def test_repr(self):
+        f = CoefficientExpansion(2, HERMITE, {(1, 0): 1.0, (0, 3): 2.0})
+        assert repr(f) == ("CoefficientExpansion(dimension=2, side='hermite', terms=2, "
+                           "degree_bound=3)")
 
     def test_multi_index_key_kept_as_is(self):
         alpha = MultiIndex((1, 2))

@@ -56,6 +56,8 @@ Z1000 = WickSymbol(1, {((1000,), (0,)): 1.0})
 W300 = WickSymbol(1, {((0,), (300,)): 1.0})
 H65 = CoefficientExpansion(65, HERMITE, {(0,) * 65: 1.0})
 H20000 = CoefficientExpansion(20000, HERMITE, {(0,) * 20000: 1.0})
+# degree 10^400: the probe's box radius sqrt(4 n_max + 2 degree + 2) overflows a float
+H_HUGE = CoefficientExpansion(1, HERMITE, {(10**400,): 1.0})
 TENSOR_65 = "a tensor rule in dimension 65 is over the budget of 64 coordinates"
 ONE_NODE = ["hermite-coeffs", "--degree", "0", "--quad-order", "1"]
 # x^400: row 400 of the 1-d factor's column 0 is sqrt(400! / 2^400), about 5e373
@@ -145,6 +147,15 @@ REFUSALS = [
      "the probe grid in dimension 65 is over the budget of 64 coordinates", None),
     ("norm_growth_probe-dimension-20000", lambda: norm_growth_probe(H20000, 0), UsageError,
      "the probe grid in dimension 20000 is over the budget of 64 coordinates", None),
+    ("norm_growth_probe-degree-astronomical", lambda: norm_growth_probe(H_HUGE, 2), UsageError,
+     f"the coefficient block of degree {10**400} in dimension 1 has over 2^64 points", None),
+    ("norm_growth_probe-n_max-astronomical", lambda: norm_growth_probe(F_H, 10**400), UsageError,
+     "iterates on 201 points, over the budget of 1000000 samples", None),
+    ("norm_growth_probe-n_max-astronomical-grid",
+     lambda: norm_growth_probe(F_H, 10**400, np.zeros((3, 1))), UsageError,
+     "iterates on 3 points, over the budget of 1000000 samples", None),
+    ("norm_growth_probe-n_max", lambda: norm_growth_probe(F_H, -2), UsageError,
+     "n_max must be >= 0, got -2", None),
     ("_tensor_values-dimension-65", lambda: _tensor_values(H65, np.zeros(1)), UsageError,
      "the coefficient block of degree 0 in dimension 65 is over the budget of 64 coordinates",
      None),
@@ -195,6 +206,10 @@ REFUSALS = [
      (OSC.to_json_dict(), ["bound-check", "--mode", "shubin", "--rho", "1.5"])),
     ("real_matrix-n_in", lambda: kn_matrix(KN, -1), UsageError, "n_in must be >= 0",
      (KN.to_json_dict(), ["kn-matrix", "--degree", "-1"])),
+    ("wick_matrix-n_in", lambda: wick_matrix(OSC, -1), UsageError,
+     "n_in must be >= 0", (OSC.to_json_dict(), ["wick-matrix", "--degree", "-1"])),
+    ("real_to_wick_symbol-n_probe", lambda: real_to_wick_symbol(KN, 1), UsageError,
+     "n_probe 1 below symbol degree 2", (KN.to_json_dict(), ["to-wick", "--degree", "1"])),
     ("wick_apply_quadrature-dimension",
      lambda: wick_apply_quadrature(WickSymbol(2, {}), F_F2, [0.0, 0.0]), UsageError,
      "quadrature oracle is d = 1 only", None),

@@ -18,6 +18,7 @@ from wickops.core import (
     HERMITE,
     CoefficientExpansion,
     MultiIndex,
+    NumericalError,
     UsageError,
     enumerate_basis,
 )
@@ -480,6 +481,11 @@ class TestSymbolKeys:
             with pytest.raises(UsageError):
                 make(2, {key: 1.0})
 
+    def test_repr(self):
+        terms = {((1, 0), (0, 2)): 1.5, ((0, 0), (1, 1)): -2j}
+        assert repr(WickSymbol(2, terms)) == "WickSymbol(d=2, wick, terms=2)"
+        assert repr(WickSymbol(2, terms, point_symbol=True)) == "WickSymbol(d=2, point, terms=2)"
+
 
 class TestAssemblerAgainstLoops:
     """The array assembler against per-column loops: bitwise at d = 1, where
@@ -828,6 +834,18 @@ class TestRealToWickSymbol:
             target = _quantization_matrix(b, n)
             got = wick_matrix(a, n).embedded(target.codomain_degree)
             assert np.max(np.abs(got.entries - target.entries)) <= 1e-12
+
+
+    def test_residual_over_the_tolerance_is_refused(self, monkeypatch):
+        # a Weyl matrix off by 1e-6 of its largest entry in one place is the
+        # matrix of no Wick symbol: the least-squares residual refuses it
+        def perturbed(b, n_in):
+            M = weyl_matrix(b, n_in)
+            M.entries[0, 0] += 1e-6 * np.max(np.abs(M.entries))
+            return M
+        monkeypatch.setattr(symbols, "weyl_matrix", perturbed)
+        with pytest.raises(NumericalError, match="no exact Wick symbol of degree 2 reproduces"):
+            real_to_wick_symbol(RealSymbol(1, WEYL, {((2,), (0,)): 1.0, ((0,), (2,)): 1.0}))
 
 
 @st.composite
