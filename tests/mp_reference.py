@@ -31,14 +31,14 @@ def graded_basis(d, n):
 
 
 def _fock_factor(p, q, g, antiwick):
-    """(out degree, factor) of z^p (d/dz)^q (Wick) or (d/dz)^q z^p
-    (anti-Wick) on e_g, or None where it is 0."""
+    """[(out degree, factor)] of z^p (d/dz)^q (Wick) or (d/dz)^q z^p
+    (anti-Wick) on e_g, or [] where it is 0."""
     top = g + p if antiwick else g
     if top < q:
-        return None
+        return []
     out = g + p - q
-    return out, MP.factorial(top) / MP.factorial(top - q) * MP.sqrt(
-        MP.factorial(out) / MP.factorial(g))
+    return [(out, MP.factorial(top) / MP.factorial(top - q) * MP.sqrt(
+        MP.factorial(out) / MP.factorial(g)))]
 
 
 def _hermite_columns(p, q, n_in, n_out, weyl):
@@ -89,25 +89,13 @@ def _assemble(d, terms, n_in, n_out, factor):
     return M
 
 
-def wick_matrix(d, terms, n_in):
-    """(n_out, matrix) of the Wick operator of sum c z^alpha conj(w)^beta."""
+def fock_matrix(d, terms, n_in, antiwick):
+    """(n_out, matrix) of the Wick operator of sum c z^alpha conj(w)^beta
+    (antiwick False) or the anti-Wick operator of the point symbol
+    sum c w^alpha conj(w)^beta (antiwick True)."""
     n_out = n_in + max((sum(a) for a, _ in terms), default=0)
-
-    def factor(p, q, g):
-        entry = _fock_factor(p, q, g, False)
-        return [entry] if entry else []
-    return n_out, _assemble(d, terms, n_in, n_out, factor)
-
-
-def antiwick_matrix(d, terms, n_in):
-    """(n_out, matrix) of the anti-Wick operator of the point symbol
-    sum c w^alpha conj(w)^beta."""
-    n_out = n_in + max((sum(a) for a, _ in terms), default=0)
-
-    def factor(p, q, g):
-        entry = _fock_factor(p, q, g, True)
-        return [entry] if entry else []
-    return n_out, _assemble(d, terms, n_in, n_out, factor)
+    return n_out, _assemble(d, terms, n_in, n_out,
+                            lambda p, q, g: _fock_factor(p, q, g, antiwick))
 
 
 def real_matrix(d, terms, n_in, weyl):
