@@ -43,7 +43,9 @@ class DecayFit:
     inconclusive: bool = False
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # an infinite flat sigma is written as null, which strict JSON parsers read
+        parameter = self.parameter if math.isfinite(self.parameter) else None
+        return {**asdict(self), "parameter": parameter}
 
 
 def shell_maxima(c: CoefficientExpansion) -> dict:
@@ -112,7 +114,7 @@ def classify_decay(c: CoefficientExpansion, family: str = ROUMIEU) -> DecayFit:
     ks = np.array([k for k in shells if k > 0], dtype=float)
     if ks.size < MIN_SHELLS:
         return DecayFit(family=H0, parameter=0.0, rate=0.0, log_prefactor=0.0,
-                        residual=0.0, shells_used=len(shells))
+                        residual=0.0, shells_used=int(ks.size))
     logm = np.log(np.array([shells[int(k)] for k in ks]))
     if family == ROUMIEU:
         def objective(s):

@@ -385,8 +385,9 @@ def cmd_bargmann(args):
         quad_order = args.quad_order if args.quad_order is not None else 60
         # (k, 1) points z, drawn as k successive (re, im) pairs
         zs = rng.uniform(-2, 2, size=(args.cross_check, 2)).view(complex)
-        via_coeff = evaluate_fock(F, zs)
+        # first, so that its table budget refuses a high degree before evaluate_fock's factorial
         via_integral = bargmann_integral(lambda pts: synthesize(exp, pts), zs, quad_order)
+        via_coeff = evaluate_fock(F, zs)
         rows = []
         for z, c, i in zip(zs[:, 0].tolist(), via_coeff.tolist(), via_integral.tolist()):
             rows.append({"z": [z.real, z.imag],

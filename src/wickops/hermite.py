@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     HERMITE,
+    MAX_POWER_ENTRIES,
     MAX_QUAD_NODES,
     CoefficientExpansion,
     InputDataError,
@@ -53,8 +54,13 @@ class LadderKind:
 
 
 def hermite_values_1d(n_max: int, t) -> np.ndarray:
-    """Table of h_0(t) .. h_{n_max}(t); shape (n_max + 1,) + t.shape."""
+    """Table of h_0(t) .. h_{n_max}(t); shape (n_max + 1,) + t.shape.  Over
+    MAX_POWER_ENTRIES entries, one per degree at least, it is refused."""
     t = np.asarray(t, dtype=float)
+    size = (n_max + 1) * max(t.size, 1)
+    if size > MAX_POWER_ENTRIES:
+        raise UsageError(f"Hermite functions of degree <= {n_max} at {t.size} points take {size} "
+                         f"entries, over the budget of {MAX_POWER_ENTRIES}; lower the degree")
     out = np.empty((n_max + 1,) + t.shape)
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * t**2)
     if n_max >= 1:

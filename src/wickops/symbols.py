@@ -314,6 +314,8 @@ def _check_matrix_size(d: int, n_in: int, n_out: int, copies: int = 1) -> int:
     """Column count of the matrix between the graded bases of degrees <= n_in
     and <= n_out; `copies` such matrices and their (n_out + 1)^2-entry coordinate
     tables are refused over MAX_MATRIX_ENTRIES entries before any is built."""
+    if n_in < 0:
+        raise UsageError(f"n_in must be >= 0, got {n_in}")
     n_rows, n_cols = basis_size(d, n_out), basis_size(d, n_in)
     size = max(copies * n_rows * n_cols, (n_out + 1) ** 2)
     if size > MAX_MATRIX_ENTRIES:
@@ -420,12 +422,14 @@ def _fock_diagonals(pairs, n_in: int, antiwick: bool):
     return np.arange(len(pairs)), offset, values
 
 
-def _acting(terms, n_in: int) -> dict:
-    """The terms {(alpha, beta): c} of a Wick or anti-Wick symbol less those
-    with beta_j - alpha_j > n_in in some coordinate: that coordinate's Fock
-    factor acts on no column of degree <= n_in, so they send every column
-    to 0, and their offsets need not fit an intp."""
-    return {(a, b): c for (a, b), c in terms.items() if max(map(operator.sub, b, a)) <= n_in}
+def _fock_matrix(a: WickSymbol, n_in: int, antiwick: bool) -> OperatorMatrix:
+    """Wick or anti-Wick matrix of the terms of a, degrees <= n_in to <= n_in
+    + z_degree.  Terms with beta_j - alpha_j > n_in in some coordinate send
+    every column to 0, as coordinate j's Fock factor acts on no column of
+    degree <= n_in, so they are dropped: their offsets need not fit an intp."""
+    acting = {(s, t): c for (s, t), c in a.terms.items() if max(map(operator.sub, t, s)) <= n_in}
+    return _assemble(acting, a.dimension, n_in, n_in + a.z_degree,
+                     lambda pairs: _fock_diagonals(pairs, n_in, antiwick), FOCK)
 
 
 def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
@@ -442,11 +446,7 @@ def wick_matrix(a: WickSymbol, n_in: int) -> OperatorMatrix:
     """
     if a.point_symbol:
         raise UsageError("point symbols are anti-Wick data; use antiwick_matrix")
-    if n_in < 0:
-        raise UsageError(f"n_in must be >= 0, got {n_in}")
-    n_out = n_in + a.z_degree
-    return _assemble(_acting(a.terms, n_in), a.dimension, n_in, n_out,
-                     lambda pairs: _fock_diagonals(pairs, n_in, False), FOCK)
+    return _fock_matrix(a, n_in, False)
 
 
 def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
@@ -457,21 +457,12 @@ def antiwick_matrix(a0: WickSymbol, n_in: int) -> OperatorMatrix:
         e_g -> d^t [z^{s+g}] / sqrt(g!)
              = [(s+g)!/(s+g-t)!] sqrt((s+g-t)! / g!) e_{s+g-t}  when s+g >= t,
 
-    a product of such factors over the coordinates.
+    a product of such factors over the coordinates.  A z-free Wick symbol
+    is used as given: its first key slot, 0, is the w-exponent.
     """
-    if n_in < 0:
-        raise UsageError(f"n_in must be >= 0, got {n_in}")
-    if not a0.point_symbol:
-        if a0.z_degree > 0:
-            raise UsageError("symbol depends on z; use wick_matrix")
-        # z-independent standard symbol: reinterpret conj(w)^beta terms
-        a0 = WickSymbol(a0.dimension,
-                        {(MultiIndex.zero(a0.dimension), b): c
-                         for (_, b), c in a0.terms.items()},
-                        point_symbol=True)
-    n_out = n_in + max((s.degree() for s, _ in a0.terms), default=0)
-    return _assemble(_acting(a0.terms, n_in), a0.dimension, n_in, n_out,
-                     lambda pairs: _fock_diagonals(pairs, n_in, True), FOCK)
+    if not a0.point_symbol and a0.z_degree > 0:
+        raise UsageError("symbol depends on z; use wick_matrix")
+    return _fock_matrix(a0, n_in, True)
 
 
 def _position_momentum(L: int):
@@ -514,8 +505,6 @@ def _log_top(g: int, k: int) -> float:
 def _real_matrix(b: RealSymbol, n_in: int, quantization: str) -> OperatorMatrix:
     if b.quantization != quantization:
         raise UsageError(f"symbol is not tagged {quantization}")
-    if n_in < 0:
-        raise UsageError(f"n_in must be >= 0, got {n_in}")
     n_out = n_in + b.total_degree
     _check_matrix_size(b.dimension, n_in, n_out)
     X, D = _position_momentum(n_out + 1)
@@ -607,7 +596,8 @@ def real_to_wick_symbol(b: RealSymbol, n_probe: int | None = None) -> WickSymbol
                                           lambda pairs: _fock_diagonals(pairs, n_probe, False)):
         A[row * n_cols + col, key] = factor
     quantize = kn_matrix if b.quantization == KOHN_NIRENBERG else weyl_matrix
-    rhs = quantize(b, n_probe).embedded(n_out).entries.ravel()
+    # the quantization matrix's codomain is n_probe + deg = n_out
+    rhs = quantize(b, n_probe).entries.ravel()
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     # both tolerances are relative to the quantization matrix, so that the
     # result scales with the symbol

@@ -1,4 +1,5 @@
-"""A 40-digit mpmath reference for the four quantization matrices.
+"""A 40-digit mpmath reference for the four quantization matrices and for
+the Wick symbols of the Kohn-Nirenberg and Weyl quantizations.
 
 Each matrix is built from its definition, independently of wickops, which
 this module never imports: Wick and anti-Wick matrices from their factorial
@@ -12,6 +13,12 @@ sqrt(g/2) h_{g-1} and D = -i d/dx.  Symbols are given as d and a dict
 {(alpha, beta): complex}; a matrix maps the graded basis of degree <= n_in
 into that of degree <= n_out, rows and columns in graded order (by degree,
 ties broken with larger leading entries first).
+
+Wick symbols come from normal ordering on the Fock side, where the position
+and momentum of each coordinate are X = (z + d)/sqrt(2) and
+D = i(z - d)/sqrt(2), d = d/dz (Folland, Harmonic Analysis in Phase Space,
+1989, ch. 1-2).  A normal-ordered operator sum c z^p d^q has the Wick symbol
+sum c z^p conj(w)^q.
 """
 
 import itertools
@@ -109,6 +116,50 @@ def real_matrix(d, terms, n_in, weyl):
             tables[p, q] = _hermite_columns(p, q, n_in, n_out, weyl)
         return [(out, v) for out, v in enumerate(tables[p, q][g]) if v != 0]
     return n_out, _assemble(d, terms, n_in, n_out, factor)
+
+
+def _normal_product(left, right):
+    """Normal-ordered product of two 1-d operators {(p, q): c}, c z^p d^q:
+    (z^p d^q)(z^r d^s) = sum_k C(q, k) r!/(r-k)! z^(p+r-k) d^(q+s-k)."""
+    out = {}
+    for (p, q), c in left.items():
+        for (r, s), e in right.items():
+            for k in range(min(q, r) + 1):
+                key = (p + r - k, q + s - k)
+                out[key] = out.get(key, 0) + c * e * math.comb(q, k) * math.perm(r, k)
+    return out
+
+
+def _ordered_monomial(p, q, weyl):
+    """The 1-d operator of x^p xi^q, normal-ordered: X^p D^q (Kohn-Nirenberg),
+    or from W = D^q by p steps W <- (X W + W X)/2 (Weyl)."""
+    root = MP.sqrt(2)
+    X = {(1, 0): 1 / root, (0, 1): 1 / root}
+    D = {(1, 0): MP.j / root, (0, 1): -MP.j / root}
+    W = {(0, 0): MP.mpc(1)}
+    for _ in range(q):
+        W = _normal_product(D, W)
+    for _ in range(p):
+        left = _normal_product(X, W)
+        if weyl:
+            right = _normal_product(W, X)
+            left = {k: (left.get(k, 0) + right.get(k, 0)) / 2 for k in left.keys() | right.keys()}
+        W = left
+    return W
+
+
+def wick_symbol(d, terms, weyl):
+    """{(alpha, beta): mpc} of the Wick symbol sum c z^alpha conj(w)^beta of
+    the Kohn-Nirenberg (weyl False) or Weyl quantization of
+    sum c x^alpha xi^beta; coordinates multiply."""
+    out = {}
+    for (alpha, beta), c in terms.items():
+        c = MP.mpc(complex(c).real, complex(c).imag)
+        per_coordinate = [_ordered_monomial(p, q, weyl).items() for p, q in zip(alpha, beta)]
+        for choice in itertools.product(*per_coordinate):
+            key = (tuple(p for (p, _), _ in choice), tuple(q for (_, q), _ in choice))
+            out[key] = out.get(key, 0) + c * MP.fprod(v for _, v in choice)
+    return {key: v for key, v in out.items() if v != 0}
 
 
 def ulps_off(entries, reference) -> float:

@@ -87,7 +87,7 @@ class TestClassifyDecay:
         c = CoefficientExpansion(1, HERMITE, {(0,): 1.0, (3,): 2.0})
         fit = classify_decay(c)
         assert fit.family == H0
-        assert fit.shells_used == 2
+        assert fit.shells_used == 1
 
     @pytest.mark.parametrize("family", [ROUMIEU, FLAT])
     def test_three_positive_shells_and_the_constant_are_h0(self, family):
@@ -96,7 +96,7 @@ class TestClassifyDecay:
         c = CoefficientExpansion(1, HERMITE, {(k,): 1.0 for k in range(4)})
         fit = classify_decay(c, family)
         assert fit.family == H0
-        assert fit.shells_used == 4
+        assert fit.shells_used == 3
 
     def test_growing_shells_give_infinite_flat_sigma(self):
         # M_k = sqrt(k!) fits 1/(2 sigma) = -1/2, outside the family

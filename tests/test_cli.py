@@ -215,6 +215,19 @@ class TestClassify:
         assert main(["classify", "--input", inp, "--output", str(out)]) == 0
         assert read_json(out)["result"]["family"] == "h0"
 
+    def test_infinite_flat_sigma_is_strict_json_null(self, tmp_path):
+        # M_k = sqrt(k!) fits sigma = inf, which was written as Infinity
+        f = CoefficientExpansion(1, HERMITE, {(k,): math.sqrt(math.factorial(k)) for k in range(9)})
+        inp = write_json(tmp_path / "f.json", f.to_json_dict())
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", inp, "--output", str(out),
+                     "--family", "flat_sigma"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-finite float {name}")
+        result = json.loads(out.read_text(), parse_constant=refuse)["result"]
+        assert result["parameter"] is None and result["inconclusive"] is True
+
 
 class TestBoundCheck:
     def test_constant_symbol_loss_bounded(self, tmp_path):

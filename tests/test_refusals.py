@@ -77,6 +77,9 @@ ZW_HUGE = WickSymbol(1, {((10**30,), (10**30,)): 1.0})
 # ... and of z^(30, 30, 30) conj(w)^(30, 30, 30) over 31^3 = 29,791
 ZW_D3 = WickSymbol(3, {((30, 30, 30), (30, 30, 30)): 1.0})
 EMPTY_1000, EMPTY_100000 = WickSymbol(1000, {}), WickSymbol(100000, {})
+# one Hermite function of a high degree: its value table takes (degree + 1) x points entries
+H_300K, H_5M, H_10M = (CoefficientExpansion(1, HERMITE, {(n,): 1.0})
+                       for n in (300_000, 5_000_000, 10**7))
 
 
 def _wick_power(exponent):
@@ -293,6 +296,17 @@ REFUSALS = [
      ({"dimension": 65, "expression": "x0"}, ONE_NODE)),
     ("hermite_coefficients-dimension-65", lambda: hermite_coefficients(H65, 65, 0, 1), UsageError,
      TENSOR_65, (H65.to_json_dict(), ONE_NODE)),
+    ("synthesize-table", lambda: synthesize(H_10M, [0.0]), UsageError,
+     "Hermite functions of degree <= 10000000 at 1 points take 10000001 entries, over the "
+     "budget of 10000000", None),
+    ("hermite_coefficients-table", lambda: hermite_coefficients(H_300K, 1, 8, 200), UsageError,
+     "Hermite functions of degree <= 300000 at 200 points take 60000200 entries",
+     (H_300K.to_json_dict(), ["hermite-coeffs", "--degree", "8", "--quad-order", "200"])),
+    # the 60-point rule and its embedded 40-point rule, sampled together
+    ("bargmann_integral-table",
+     lambda: bargmann_integral(lambda pts: synthesize(H_5M, pts), [0j], 60), UsageError,
+     "Hermite functions of degree <= 5000000 at 100 points take 500000100 entries",
+     (H_5M.to_json_dict(), ["bargmann", "--cross-check", "1"])),
     # expansion
     ("decompose-budget", lambda: decompose(EMPTY_40, 3), UsageError,
      "135751 decomposition terms (multi-indices of degree <= 4 in dimension 40) are over the "

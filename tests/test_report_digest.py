@@ -1,6 +1,9 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
 _spec = importlib.util.spec_from_file_location("report_digest", _SCRIPT)
@@ -45,3 +48,20 @@ def test_compare_counts_each_state(tmp_path, capsys):
                          ["selftest", "selftest.json", "1", "0", "0", "0"],
                          ["total", "2", "1", "1", "1"]]
     assert report_digest.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+
+
+
+def test_digest_refuses_non_finite_floats(tmp_path):
+    report = tmp_path / "0-classify.json"
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        report.write_text('{"parameter": %s}' % constant)
+        with pytest.raises(RuntimeError, match=f"0-classify.json is not strict JSON: "
+                                               f"non-finite float {constant}"):
+            report_digest._digest(report, tmp_path)
+    report.write_text('{"parameter": null, "input": "%s/in.json"}' % tmp_path)
+    assert report_digest._digest(report, tmp_path) == hashlib.sha256(
+        b'{"parameter": null, "input": "<work>/in.json"}').hexdigest()
+    # a CSV report is hashed as it is
+    csv = tmp_path / "0-weyl.csv"
+    csv.write_bytes(b"0,0,nan,0\n")
+    assert report_digest._digest(csv, tmp_path) == hashlib.sha256(b"0,0,nan,0\n").hexdigest()

@@ -10,7 +10,9 @@ report's path relative to that directory, sorted, mapped to the sha256 of its
 bytes.  The temporary directory's path, which JSON reports carry in
 ``config.input``, is replaced by ``<work>`` before hashing, so that two runs,
 or runs from two checkouts, give equal manifests exactly when every report is
-byte-identical.  A job whose exit code or output check fails stops the run.
+byte-identical.  A job whose exit code or output check fails stops the run,
+and so does a JSON report that a strict parser rejects, one holding NaN or
+Infinity.
 
 ``--compare`` reads two such manifests and prints, per workload and step
 (the report name less its job number), how many reports are the same, changed,
@@ -38,8 +40,18 @@ JOBS = 16
 SEEDS = (1, 2, 3)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite float {name}")
+
+
 def _digest(path: Path, work: Path) -> str:
-    data = path.read_bytes().replace(str(work).encode(), b"<work>")
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        try:
+            json.loads(data, parse_constant=_refuse_constant)
+        except ValueError as exc:
+            raise RuntimeError(f"{path} is not strict JSON: {exc}") from exc
+    data = data.replace(str(work).encode(), b"<work>")
     return hashlib.sha256(data).hexdigest()
 
 
