@@ -26,8 +26,8 @@ from .core import (
     MAX_QUAD_ORDER,
     CoefficientExpansion,
     UsageError,
+    _check_powers,
     gauss_hermite,
-    power_tables,
     table_sum,
     tensor_rule,
 )
@@ -130,7 +130,10 @@ def bargmann_integral(f, z, quad_order: int = 60):
     values = _kernel_quadrature(zs, points, weights, fvals)
     distance = np.abs(values - _kernel_quadrature(zs, coarse_points, coarse_weights,
                                                   coarse_fvals))
-    norm = math.sqrt(np.sum(weights * np.exp(np.sum(points**2, axis=1)) * np.abs(fvals)**2))
+    # the norm of f, over its largest weighted sample so that no square overflows
+    weighted = np.sqrt(weights * np.exp(np.sum(points**2, axis=1))) * np.abs(fvals)
+    top = np.max(weighted, initial=0.0)
+    norm = top * math.sqrt(np.sum((weighted / top) ** 2)) if top else 0.0
     unresolved = np.flatnonzero(distance > _RULE_AGREEMENT * np.maximum(np.abs(values), norm))
     peak = float(np.max(np.abs(zs.real), initial=0.0)) / math.sqrt(2.0)
     reasons = []
@@ -157,13 +160,21 @@ def bargmann_coeff(f: CoefficientExpansion) -> CoefficientExpansion:
 
 
 def evaluate_fock(F: CoefficientExpansion, z):
-    """Value sum c_a z^a / sqrt(a!) of a Fock-side expansion; z may be a single
-    point (d,), giving a complex, or a batch (n, d), giving an array."""
+    """Value sum c_a e_a(z) of a Fock-side expansion, e_a(z) = z^a / sqrt(a!);
+    z may be a single point (d,), giving a complex, or a batch (n, d), giving
+    an array.
+
+    Each coordinate's e_n(z_j), n <= degree, is the running product of the
+    factors z_j / sqrt(n), so neither z^n nor n! has to fit float64: the
+    value is finite wherever its terms are.  Tables over MAX_POWER_ENTRIES
+    entries are refused, as by power_tables."""
     if F.side != FOCK:
         raise UsageError("evaluate_fock expects a fock-side expansion")
     points, single = _as_complex_points(z, F.dimension)
-    coeffs = [c / math.sqrt(a.factorial()) for a, c in F.coeffs.items()]
-    values = table_sum(coeffs, list(F.coeffs), power_tables(points, F.degree_bound))
+    _check_powers(points, F.degree_bound)
+    factors = np.ones((F.dimension, len(points), F.degree_bound + 1), dtype=complex)
+    factors[:, :, 1:] = points.T[:, :, None] / np.sqrt(np.arange(1, F.degree_bound + 1))
+    values = table_sum(list(F.coeffs.values()), list(F.coeffs), np.cumprod(factors, axis=2))
     return complex(values[0]) if single else values
 
 

@@ -287,13 +287,13 @@ def _piece_texts(piece, template, zero, memo):
 
 
 def _matrix_csv(M: OperatorMatrix):
-    """CSV lines of a matrix: a header, then row,col,re,im per entry in C order,
-    up to _PIECE entries' lines to an item."""
-    cols = [f",{j}," for j in range(M.entries.shape[1])]
-    heads = [str(i) + col for i in range(M.entries.shape[0]) for col in cols]
-    pieces = zip(range(0, len(heads), _PIECE), _float_pieces(M.to_json_dict()["entries"], "%s,%s"))
-    return ["row,col,re,im", *("\n".join(map(operator.add, heads[start:start + _PIECE], texts))
-                               for start, texts in pieces)]
+    """CSV lines of a matrix, made a piece at a time: a header, then
+    row,col,re,im per entry in C order, up to _PIECE entries' lines to an item."""
+    rows, cols = ([f"{i}," for i in range(n)] for n in M.entries.shape)
+    heads = itertools.starmap(operator.add, itertools.product(rows, cols))
+    yield "row,col,re,im"
+    for texts in _float_pieces(M.to_json_dict()["entries"], "%s,%s"):
+        yield "\n".join(map(operator.add, itertools.islice(heads, len(texts)), texts))
 
 
 # The expression grammar: float64 numbers, x0 .. x{d-1}, pi and e, the binary
@@ -385,16 +385,24 @@ def cmd_bargmann(args):
         quad_order = args.quad_order if args.quad_order is not None else 60
         # (k, 1) points z, drawn as k successive (re, im) pairs
         zs = rng.uniform(-2, 2, size=(args.cross_check, 2)).view(complex)
-        # first, so that its table budget refuses a high degree before evaluate_fock's factorial
-        via_integral = bargmann_integral(lambda pts: synthesize(exp, pts), zs, quad_order)
-        via_coeff = evaluate_fock(F, zs)
-        rows = []
-        for z, c, i in zip(zs[:, 0].tolist(), via_coeff.tolist(), via_integral.tolist()):
-            rows.append({"z": [z.real, z.imag],
-                         "coefficient_route": [c.real, c.imag],
-                         "integral_route": [i.real, i.imag],
-                         "abs_diff": abs(c - i)})
-        payload["cross_check"] = rows
+        # both routes and their agreement test run on the expansion scaled by
+        # 2^-e, its largest part then below 1, and the results are scaled back
+        # by 2^e: exact, and a result past float64's range is refused
+        parts = np.array(list(exp.coeffs.values()), dtype=complex).view(float)
+        e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+        unit = CoefficientExpansion(1, exp.side, zip(exp.coeffs, np.ldexp(parts, -e).view(complex)))
+        # first, so that its table budget refuses a high degree before evaluate_fock's tables
+        via_integral = bargmann_integral(lambda pts: synthesize(unit, pts), zs, quad_order)
+        routes = [[c.real, c.imag, i.real, i.imag, abs(c - i)] for c, i in
+                  zip(evaluate_fock(bargmann_coeff(unit), zs).tolist(), via_integral.tolist())]
+        with np.errstate(over="ignore"):  # refused below
+            routes = np.ldexp(np.array(routes), e)
+        if not np.isfinite(routes).all():
+            raise NumericalError("the cross-check values are past float64's range; scale the "
+                                 "expansion down")
+        payload["cross_check"] = [{"z": [z.real, z.imag], "coefficient_route": row[:2],
+                                   "integral_route": row[2:4], "abs_diff": row[4]}
+                                  for z, row in zip(zs[:, 0].tolist(), routes.tolist())]
     return _emit(payload, args)
 
 
@@ -572,18 +580,16 @@ def build_parser():
                     "Wick-to-anti-Wick expansion, decay classification and "
                     "spectral lower-bound probes.")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(format="json")  # every report is JSON unless --format csv is given
     sub = parser.add_subparsers(dest="command", required=True)
 
     # an option is declared only where it is read, so argparse refuses it elsewhere
-    def add(name, help_, needs_input=True, needs_output=True, csv=False):
+    def add(name, help_, csv=False):
         p = sub.add_parser(name, help=help_)
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
-        if needs_output:
-            p.add_argument("--output", required=needs_output, help="output report file")
-        p.set_defaults(format="json")
+        p.add_argument("--input", required=True, help="input JSON file")
+        p.add_argument("--output", required=True, help="output report file")
         if csv:
-            p.add_argument("--format", choices=("json", "csv"))
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
     p = add("hermite-coeffs", "expand a sampled function in Hermite functions")
@@ -631,11 +637,16 @@ def build_parser():
     p.add_argument("--grid-radius", type=_finite_float, default=4.0)
     p.add_argument("--grid-points", type=int, default=5)
 
-    p = add("selftest", "run the quadrature-vs-closed-form oracle suite",
-            needs_input=False, needs_output=False)
+    p = sub.add_parser("selftest", help="run the quadrature-vs-closed-form oracle suite")
     p.add_argument("--output", help="optional JSON report path")
 
     return parser
+
+
+# the JSON error kind and exit code of each error class; an error of no other
+# kind is reported under its base class
+_ERRORS = {UsageError: ("usage", EXIT_USAGE), InputDataError: ("input-data", EXIT_INPUT),
+           NumericalError: ("numerical", EXIT_NUMERICAL), CalculusError: ("error", EXIT_NUMERICAL)}
 
 
 def main(argv=None) -> int:
@@ -643,24 +654,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # looked up by name on each call, so a rebinding of cmd_* takes effect
         globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        _print_error("usage", exc)
-        return EXIT_USAGE
-    except InputDataError as exc:
-        _print_error("input-data", exc)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        _print_error("numerical", exc)
-        return EXIT_NUMERICAL
-    except CalculusError as exc:  # the base class, for an error of no other kind
-        _print_error("error", exc)
-        return EXIT_NUMERICAL
+    except CalculusError as exc:
+        kind, code = next(_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS)
+        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
+        return code
     return EXIT_OK
-
-
-def _print_error(kind, exc):
-    json.dump({"error": {"kind": kind, "message": str(exc)}}, sys.stderr)
-    sys.stderr.write("\n")
 
 
 if __name__ == "__main__":

@@ -302,12 +302,18 @@ def power_tables(points, top: int) -> list:
     """The (n, top + 1) tables points[:, j] ** (0 .. top) of an (n, d) batch
     of complex points, one per coordinate, for table_sum.  Tables over
     MAX_POWER_ENTRIES entries are refused before allocation."""
+    _check_powers(points, top)
+    return [points[:, j, None] ** np.arange(top + 1) for j in range(points.shape[1])]
+
+
+def _check_powers(points, top: int):
+    """Refuse tables of degree top over MAX_POWER_ENTRIES entries on the
+    (n, d) points before top becomes a C integer."""
     size = points.shape[0] * (top + 1)
     if size > MAX_POWER_ENTRIES:
         raise UsageError(f"powers of {points.shape[0]} points up to degree {top} take {size} "
                          f"entries, over the budget of {MAX_POWER_ENTRIES}; lower the degree "
                          f"or use fewer points")
-    return [points[:, j, None] ** np.arange(top + 1) for j in range(points.shape[1])]
 
 
 def json_int(value) -> int:

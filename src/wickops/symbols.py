@@ -142,13 +142,17 @@ class WickSymbol(_TermSymbol):
             raise UsageError("Wick symbols take two arguments (z, w)")
         z, z_single = _as_complex_points(z, self.dimension)
         w, w_single = _as_complex_points(w, self.dimension)
-        # the tables' budget is checked before any exponent becomes a C integer
+        # a single z or w broadcasts against the other's batch in table_sum
+        values = table_sum(list(self.terms.values()), *self._power_tables(z, w))
+        return complex(values[0]) if z_single and w_single else values
+
+    def _power_tables(self, z, w):
+        """The terms' (k, 2d) exponents and the power tables of the (n, d)
+        batches z and conj(w), as table_sum takes them; the tables' budget is
+        checked before any exponent becomes a C integer."""
         top = max(map(max, chain.from_iterable(self.terms)), default=0)
         tables = power_tables(z, top) + power_tables(np.conj(w), top)
-        exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2 * self.dimension)
-        # a single z or w broadcasts against the other's batch in table_sum
-        values = table_sum(list(self.terms.values()), exponents, tables)
-        return complex(values[0]) if z_single and w_single else values
+        return np.array(list(self.terms), dtype=np.intp).reshape(-1, 2 * self.dimension), tables
 
     def diagonal_value(self, w):
         """a(w, w), the diagonal restriction appearing in the Garding hypothesis;
@@ -339,15 +343,13 @@ def _entries(keys, d, n_in, n_out, diagonals):
     # graded rank that turns a row's suffix sums into its position
     cols, below = _basis_array(d, n_in), _rank_table(d, n_out)
     col_suffix = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    flat = list(chain.from_iterable(chain.from_iterable(keys)))
-    exponent = sorted(set(flat))  # ranked, so that pair codes stay small
-    ranks = np.fromiter(map({e: i for i, e in enumerate(exponent)}.__getitem__, flat), np.intp)
-    codes = ranks.reshape(-1, 2, d)[:, 0] * len(exponent) + ranks.reshape(-1, 2, d)[:, 1]
-    pairs = sorted(set(codes.ravel().tolist()))
-    pair, offset, values = diagonals([tuple(exponent[r] for r in divmod(code, len(exponent)))
-                                      for code in pairs])
+    # each key's (p, q) pair per coordinate, numbered in sorted order
+    key_pairs = [pq for alpha, beta in keys for pq in zip(alpha, beta)]
+    pairs = sorted(set(key_pairs))
+    number = {pq: i for i, pq in enumerate(pairs)}
+    pair_of = np.fromiter(map(number.__getitem__, key_pairs), np.intp).reshape(-1, d)
+    pair, offset, values = diagonals(pairs)
     per_pair = np.bincount(pair, minlength=len(pairs))
-    pair_of = np.searchsorted(pairs, codes)
     count, first = per_pair[pair_of], (np.cumsum(per_pair) - per_pair)[pair_of]
     # each key with each choice of diagonals, the last coordinate's fastest
     total = count.prod(axis=1)
@@ -390,23 +392,22 @@ def _fock_diagonal(p: int, q: int, n_cols: int, antiwick: bool) -> np.ndarray:
     """The one non-zero diagonal of the 1-d factor of the term (p, q) in the
     closed forms of wick_matrix and antiwick_matrix,
     e_g -> [top!/(top-q)!] sqrt((g+p-q)! / g!) e_{g+p-q} when top >= q, with
-    top = g (Wick) or g + p (anti-Wick), on the columns
-    g = max(0, q - p) .. n_cols - 1; cached, so read-only.  A factor whose
-    computation overflows float64 is a NumericalError."""
-    start = max(0, q - p)
-    diag = np.zeros(max(0, n_cols - start))
+    top = g (Wick) or g + p (anti-Wick), on the columns g = 0 .. n_cols - 1
+    (0 below g = q - p); cached, so read-only.  A factor whose computation
+    overflows float64 is a NumericalError."""
+    diag = np.zeros(n_cols)
     try:
-        for i, g in enumerate(range(start, n_cols)):
+        for g in range(max(0, q - p), n_cols):
             top = g + p if antiwick else g
             if top >= q:
                 ratio = math.factorial(g + p - q) / math.factorial(g)
-                diag[i] = math.perm(top, q) * math.sqrt(ratio)
+                diag[g] = math.perm(top, q) * math.sqrt(ratio)
     except OverflowError:  # an integer too large for a float
-        diag[i] = math.inf
+        diag[g] = math.inf
     bad = np.flatnonzero(~np.isfinite(diag))
     if bad.size:
         raise NumericalError(f"the matrix factor of the term ({p}, {q}) at degree "
-                             f"{start + bad[0]} overflows float64; lower the degree")
+                             f"{bad[0]} overflows float64; lower the degree")
     diag.flags.writeable = False
     return diag
 
@@ -415,11 +416,9 @@ def _fock_diagonals(pairs, n_in: int, antiwick: bool):
     """The Fock factors of the pairs (p, q) as _entries takes them: the one
     diagonal k = p - q of each, from _fock_diagonal, on the column degrees
     0 .. n_in."""
-    values = np.zeros((len(pairs), n_in + 1))
-    for row, (p, q) in zip(values, pairs):
-        row[max(0, q - p):] = _fock_diagonal(p, q, n_in + 1, antiwick)
+    values = np.array([_fock_diagonal(p, q, n_in + 1, antiwick) for p, q in pairs])
     offset = np.array([p - q for p, q in pairs], dtype=np.intp)
-    return np.arange(len(pairs)), offset, values
+    return np.arange(len(pairs)), offset, values.reshape(len(pairs), n_in + 1)
 
 
 def _fock_matrix(a: WickSymbol, n_in: int, antiwick: bool) -> OperatorMatrix:
@@ -797,13 +796,10 @@ def shubin_estimate_check(a: WickSymbol, weight: ShubinWeight, max_order: int,
         raise NumericalError(f"a derivative of order <= {max_order} has a factor over "
                              f"float64's range; lower the maximum order") from exc
     details = []
-    # the tables' budget is checked before any exponent becomes a C integer,
-    # and values that overflow make their ratios non-finite, refused below
-    top = max(map(max, chain.from_iterable(terms)), default=0)
+    # values that overflow make their ratios non-finite, refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tables = (power_tables(_as_complex_points(z, d)[0], top)
-                  + power_tables(np.conj(_as_complex_points(w, d)[0]), top))
-        exponents = np.array(terms, dtype=np.intp).reshape(-1, 2 * d)
+        exponents, tables = a._power_tables(_as_complex_points(z, d)[0],
+                                            _as_complex_points(w, d)[0])
         for key, o, keep, c in zip(keys, orders, factor > 0, coeffs):
             values = np.abs(table_sum(c[keep], exponents[keep] - o, tables))
             bound = base * plus ** (-weight.rho * sum(key))
