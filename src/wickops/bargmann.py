@@ -165,15 +165,17 @@ def evaluate_fock(F: CoefficientExpansion, z):
     an array.
 
     Each coordinate's e_n(z_j), n <= degree, is the running product of the
-    factors z_j / sqrt(n), so neither z^n nor n! has to fit float64: the
-    value is finite wherever its terms are.  Tables over MAX_POWER_ENTRIES
+    factors z_j / sqrt(n), so neither z^n nor n! has to fit float64, only
+    each e_n(z_j): their largest, about e^{|z_j|^2 / 2} at n = |z_j|^2,
+    overflows from about |z_j| = 38 on.  Tables over MAX_POWER_ENTRIES
     entries are refused, as by power_tables."""
     if F.side != FOCK:
         raise UsageError("evaluate_fock expects a fock-side expansion")
     points, single = _as_complex_points(z, F.dimension)
-    _check_powers(points, F.degree_bound)
-    factors = np.ones((F.dimension, len(points), F.degree_bound + 1), dtype=complex)
-    factors[:, :, 1:] = points.T[:, :, None] / np.sqrt(np.arange(1, F.degree_bound + 1))
+    top = F.degree_bound
+    _check_powers(points, top)
+    factors = np.ones((F.dimension, len(points), top + 1), dtype=complex)
+    factors[:, :, 1:] = points.T[:, :, None] / np.sqrt(np.arange(1, top + 1))
     values = table_sum(list(F.coeffs.values()), list(F.coeffs), np.cumprod(factors, axis=2))
     return complex(values[0]) if single else values
 

@@ -387,22 +387,23 @@ def cmd_bargmann(args):
         zs = rng.uniform(-2, 2, size=(args.cross_check, 2)).view(complex)
         # both routes and their agreement test run on the expansion scaled by
         # 2^-e, its largest part then below 1, and the results are scaled back
-        # by 2^e: exact, and a result past float64's range is refused
+        # by 2^e: exact, unless a result is past float64's range (refused)
         parts = np.array(list(exp.coeffs.values()), dtype=complex).view(float)
         e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
         unit = CoefficientExpansion(1, exp.side, zip(exp.coeffs, np.ldexp(parts, -e).view(complex)))
         # first, so that its table budget refuses a high degree before evaluate_fock's tables
         via_integral = bargmann_integral(lambda pts: synthesize(unit, pts), zs, quad_order)
-        routes = [[c.real, c.imag, i.real, i.imag, abs(c - i)] for c, i in
-                  zip(evaluate_fock(bargmann_coeff(unit), zs).tolist(), via_integral.tolist())]
-        with np.errstate(over="ignore"):  # refused below
-            routes = np.ldexp(np.array(routes), e)
-        if not np.isfinite(routes).all():
+        via_coeff = evaluate_fock(bargmann_coeff(unit), zs)
+        try:
+            payload["cross_check"] = [
+                {"z": [z.real, z.imag],
+                 "coefficient_route": [math.ldexp(c.real, e), math.ldexp(c.imag, e)],
+                 "integral_route": [math.ldexp(i.real, e), math.ldexp(i.imag, e)],
+                 "abs_diff": math.ldexp(abs(c - i), e)}
+                for z, c, i in zip(zs[:, 0].tolist(), via_coeff.tolist(), via_integral.tolist())]
+        except OverflowError as exc:
             raise NumericalError("the cross-check values are past float64's range; scale the "
-                                 "expansion down")
-        payload["cross_check"] = [{"z": [z.real, z.imag], "coefficient_route": row[:2],
-                                   "integral_route": row[2:4], "abs_diff": row[4]}
-                                  for z, row in zip(zs[:, 0].tolist(), routes.tolist())]
+                                 "expansion down") from exc
     return _emit(payload, args)
 
 
