@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,20 @@ class TestEvaluateFock:
     def test_monomial(self):
         F = CoefficientExpansion(1, FOCK, {(2,): 1.0})
         assert evaluate_fock(F, [2.0]) == pytest.approx(4 / math.sqrt(2))
+
+    @pytest.mark.parametrize("index, z", [
+        ((171,), [2.0 + 1.0j]), ((171,), [-12.0 + 0.5j]),
+        ((400,), [20.0 + 3.0j]), ((400,), [-5.0j]),
+        ((100, 100), [7.0 + 2.0j, -5.0 + 6.0j]),
+    ])
+    def test_indices_past_the_factorials_range(self, index, z):
+        # a! (a >= 171) and z^a are past float64's range, z^a / sqrt(a!) is not
+        with mpmath.workdps(40):
+            want = complex(mpmath.fprod(mpmath.mpc(zj) ** a / mpmath.sqrt(mpmath.factorial(a))
+                                        for zj, a in zip(z, index)))
+        assert 1e-300 < abs(want) < 1e300
+        got = evaluate_fock(CoefficientExpansion(len(index), FOCK, {index: 1.0}), z)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_agreement_with_integral_realization(self):
         rng = np.random.default_rng(17)

@@ -104,6 +104,33 @@ class TestBargmann:
                                bargmann_integral(lambda pts: synthesize(f, pts), z))]:
                 assert abs(complex(*row[key]) - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("coeffs, argv", [
+        # the order-12 rule and its embedded order-8 rule disagree at index 20
+        ({(20,): 1.0}, ["--quad-order", "12"]),
+        ({(n,): complex(1.0 / (n + 1), n) for n in range(9)}, []),
+    ], ids=["disagreeing-rules", "degree-8"])
+    def test_cross_check_scales_exactly(self, tmp_path, k, coeffs, argv):
+        # every number under cross_check but z is 2^k times the scale-1
+        # report's, bit for bit, and the warnings are the same
+        reports = []
+        for scale in (1.0, 2.0**k):
+            f = CoefficientExpansion(1, HERMITE, {a: scale * c for a, c in coeffs.items()})
+            inp = write_json(tmp_path / "in.json", f.to_json_dict())
+            out = tmp_path / "out.json"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["bargmann", "--input", inp, "--output", str(out),
+                             "--cross-check", "8", *argv]) == 0
+            reports.append((read_json(out)["cross_check"], [str(w.message) for w in caught]))
+        (plain, plain_warnings), (scaled, scaled_warnings) = reports
+        assert scaled_warnings == plain_warnings
+        assert any("rules differ" in w for w in plain_warnings) == bool(argv)
+        for row, want in zip(scaled, plain, strict=True):
+            assert row["z"] == want["z"]
+            for key in ("coefficient_route", "integral_route", "abs_diff"):
+                np.testing.assert_array_equal(row[key], np.ldexp(want[key], k))
+
     def test_negative_cross_check_is_usage_error(self, tmp_path, capsys):
         f = CoefficientExpansion(1, HERMITE, {(1,): 1.0})
         inp = write_json(tmp_path / "in.json", f.to_json_dict())
@@ -485,6 +512,23 @@ class TestReportWriter:
         finally:
             tracemalloc.stop()
         assert peak < sink.length / 4
+
+    def test_matrix_csv_is_written_in_bounded_memory(self, tmp_path):
+        # about 10^6 entries: the lines are made a piece at a time, so the
+        # report's 15.8 MB of text never sit in memory beside the matrix
+        a = WickSymbol(1, {((1,), (1,)): 1.0, ((2,), (0,)): 0.5})
+        inp = write_json(tmp_path / "in.json", a.to_json_dict())
+        out = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            assert main(["wick-matrix", "--input", inp, "--output", str(out), "--degree", "998",
+                         "--format", "csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = 1001 * 999
+        assert out.read_text().count("\n") == entries + 2
+        assert peak <= 1.25 * 16 * entries
 
     def test_non_str_key_is_refused(self):
         with pytest.raises(TypeError):

@@ -77,6 +77,8 @@ ZW_HUGE = WickSymbol(1, {((10**30,), (10**30,)): 1.0})
 # ... and of z^(30, 30, 30) conj(w)^(30, 30, 30) over 31^3 = 29,791
 ZW_D3 = WickSymbol(3, {((30, 30, 30), (30, 30, 30)): 1.0})
 EMPTY_1000, EMPTY_100000 = WickSymbol(1000, {}), WickSymbol(100000, {})
+# 1.7e308 (h_1 + h_5): its cross-check values e_1(z) and e_5(z) times 1.7e308 overflow
+H_MAX = CoefficientExpansion(1, HERMITE, {(1,): 1.7e308, (5,): 1.7e308})
 # one Hermite function of a high degree: its value table takes (degree + 1) x points entries
 H_300K, H_5M, H_10M = (CoefficientExpansion(1, HERMITE, {(n,): 1.0})
                        for n in (300_000, 5_000_000, 10**7))
@@ -173,6 +175,9 @@ REFUSALS = [
      "are neither (d,) nor (k, d)", None),
     ("evaluate_fock-side", lambda: evaluate_fock(F_H, [0.0]), UsageError,
      "evaluate_fock expects a fock-side expansion", None),
+    ("bargmann-cross-check-range", None, NumericalError,
+     "the cross-check values are past float64's range; scale the expansion down",
+     (H_MAX.to_json_dict(), ["bargmann", "--cross-check", "2"])),
     ("gaussian_plane_rule-orders", lambda: gaussian_plane_rule(0, 4), UsageError,
      "quadrature orders must be >= 1", None),
     ("gaussian_plane_rule-radial", lambda: gaussian_plane_rule(1001, 1), UsageError,
@@ -412,6 +417,25 @@ def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
     assert _child_refusal({"dimension": 10**8, "expression": "x0"}, ["hermite-coeffs"], tmp_path,
                           60, limit) == (
         "a tensor rule in dimension 100000000 is over the budget of 64 coordinates")
+
+
+def test_cross_check_past_the_factorials_range_runs(tmp_path):
+    # 171! is past float64's range, and e_171(z) = z^171 / sqrt(171!) is not
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(CoefficientExpansion(1, HERMITE, {(171,): 1.0}).to_json_dict()))
+    out = tmp_path / "out.json"
+    src = str(Path(wickops.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "wickops.cli", "bargmann", "--input", str(inp),
+                           "--output", str(out), "--cross-check", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+
+    def refuse(name):
+        raise ValueError(f"non-finite float {name}")
+    rows = json.loads(out.read_text(), parse_constant=refuse)["cross_check"]
+    assert len(rows) == 2
 
 
 # Raw input for every subcommand: each run exits 0, 2, 3 or 4, writes at most
