@@ -54,7 +54,7 @@ def shell_maxima(c: CoefficientExpansion) -> dict:
     for alpha, value in c.coeffs.items():
         k = alpha.degree()
         shells[k] = max(shells.get(k, 0.0), abs(value))
-    return {k: v for k, v in sorted(shells.items()) if v > 0}
+    return dict(sorted(shells.items()))
 
 
 def _roumieu_residual(ks, logm, s):
@@ -132,13 +132,10 @@ def classify_decay(c: CoefficientExpansion, family: str = ROUMIEU) -> DecayFit:
     logc, logr, inv2sigma = sol
     resid = logm - A @ sol
     residual = float(np.sqrt(np.mean(resid**2)))
-    if inv2sigma <= 0:
-        return DecayFit(family=FLAT, parameter=math.inf, rate=float(np.exp(logr)),
-                        log_prefactor=float(logc), residual=residual,
-                        shells_used=int(ks.size), inconclusive=True)
-    sigma = 1.0 / (2.0 * inv2sigma)
+    sigma = 1.0 / (2.0 * inv2sigma) if inv2sigma > 0 else math.inf
     return DecayFit(family=FLAT, parameter=float(sigma), rate=float(np.exp(logr)),
-                    log_prefactor=float(logc), residual=residual, shells_used=int(ks.size))
+                    log_prefactor=float(logc), residual=residual, shells_used=int(ks.size),
+                    inconclusive=bool(inv2sigma <= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +214,15 @@ def garding_check(a: WickSymbol, truncations) -> GardingReport:
         try:
             min_real.append(float(np.min(np.linalg.eigvalsh(herm))))
             imag_eigs = np.linalg.eigvalsh(skew)
-            max_imag.append(float(np.max(np.abs(imag_eigs))) if imag_eigs.size else 0.0)
+            max_imag.append(float(np.max(np.abs(imag_eigs))))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigen-solve failed at truncation {n}") from exc
-    diagonal_min = float(np.min(a.diagonal_value(diag_grid).real))
+    # a value past float64's range shows as -inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal_min = float(np.min(a.diagonal_value(diag_grid).real))
+    if not math.isfinite(diagonal_min):
+        raise NumericalError(f"the diagonal Re a(w, w) is past float64's range on the grid of "
+                             f"radius {DIAG_RADIUS:g}")
     if len(min_real) >= 2:
         last, prev = min_real[-1], min_real[-2]
         # the absolute floor scales with the symbol (sum |c|), so the flag

@@ -25,8 +25,10 @@ from .core import (
     MAX_QUAD_NODES,
     MAX_QUAD_ORDER,
     CoefficientExpansion,
+    NumericalError,
     UsageError,
     _check_powers,
+    _tensor_nodes,
     gauss_hermite,
     table_sum,
     tensor_rule,
@@ -102,6 +104,21 @@ def _kernel_quadrature(zs, points, weights, fvals) -> np.ndarray:
     return np.sum(weights * integrand, axis=1)
 
 
+def _kernel_rules(n_z: int, d: int, quad_order: int):
+    """The order-q rule and the embedded order-2q/3 rule of bargmann_integral
+    for n_z points z in dimension d.  The kernel tables hold n_z times the
+    nodes of both rules; over MAX_QUAD_NODES entries (10,000 points at
+    order 60, d = 1) they are refused, before any point is drawn or sampled."""
+    rules = gauss_hermite(quad_order), gauss_hermite(max(1, 2 * quad_order // 3))
+    nodes = sum(_tensor_nodes(rule.order, d, "a tensor rule") for rule in rules)
+    if n_z * nodes > MAX_QUAD_NODES:
+        raise UsageError(f"{n_z} points against the {nodes} nodes of the order-{quad_order} "
+                         f"and order-{rules[1].order} rules make kernel tables of "
+                         f"{n_z * nodes} entries, over the budget of {MAX_QUAD_NODES}; use "
+                         f"fewer points or a lower order")
+    return rules
+
+
 def bargmann_integral(f, z, quad_order: int = 60):
     """Quadrature value of the Bargmann transform integral of f at z; z may
     be a single point (d,), giving a complex, or a batch (k, d), giving an
@@ -114,15 +131,15 @@ def bargmann_integral(f, z, quad_order: int = 60):
     quadrature norm of f where the result is near zero, is an a-posteriori
     error estimate.  Warns with AccuracyWarning when the estimate exceeds
     _RULE_AGREEMENT at some z, or when the integrand's peak leaves the
-    rule's node range.
+    rule's node range.  Batches whose kernel tables pass MAX_QUAD_NODES
+    entries are refused before f is sampled.
     """
     z = _as_complex_vector(z)
     zs = np.atleast_2d(z)
     if zs.ndim != 2:
         raise UsageError(f"points of shape {z.shape} are neither (d,) nor (k, d)")
     d = zs.shape[1]
-    rule = gauss_hermite(quad_order)
-    coarse = gauss_hermite(max(1, 2 * quad_order // 3))
+    rule, coarse = _kernel_rules(len(zs), d, quad_order)
     points, weights = tensor_rule(rule, d)
     coarse_points, coarse_weights = tensor_rule(coarse, d)
     fvals, coarse_fvals = np.split(_sample(f, np.concatenate([points, coarse_points])),
@@ -167,8 +184,9 @@ def evaluate_fock(F: CoefficientExpansion, z):
     Each coordinate's e_n(z_j), n <= degree, is the running product of the
     factors z_j / sqrt(n), so neither z^n nor n! has to fit float64, only
     each e_n(z_j): their largest, about e^{|z_j|^2 / 2} at n = |z_j|^2,
-    overflows from about |z_j| = 38 on.  Tables over MAX_POWER_ENTRIES
-    entries are refused, as by power_tables."""
+    overflows from about |z_j| = 38 on, and a value that is then not finite
+    is a NumericalError.  Tables over MAX_POWER_ENTRIES entries are refused,
+    as by power_tables."""
     if F.side != FOCK:
         raise UsageError("evaluate_fock expects a fock-side expansion")
     points, single = _as_complex_points(z, F.dimension)
@@ -176,7 +194,13 @@ def evaluate_fock(F: CoefficientExpansion, z):
     _check_powers(points, top)
     factors = np.ones((F.dimension, len(points), top + 1), dtype=complex)
     factors[:, :, 1:] = points.T[:, :, None] / np.sqrt(np.arange(1, top + 1))
-    values = table_sum(list(F.coeffs.values()), list(F.coeffs), np.cumprod(factors, axis=2))
+    # a product past float64's range shows as a value that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = table_sum(list(F.coeffs.values()), list(F.coeffs), np.cumprod(factors, axis=2))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"a Fock-side value at z = {points[bad[0]].tolist()} is past "
+                             f"float64's range")
     return complex(values[0]) if single else values
 
 

@@ -37,6 +37,7 @@ from .core import (
 )
 from .hermite import hermite_coefficients, synthesize
 from .bargmann import (
+    _kernel_rules,
     bargmann_coeff,
     bargmann_integral,
     evaluate_fock,
@@ -374,6 +375,8 @@ def cmd_hermite_coeffs(args):
 def cmd_bargmann(args):
     if args.cross_check < 0:
         raise UsageError(f"--cross-check must be >= 0, got {args.cross_check}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     exp = CoefficientExpansion.from_json_dict(_load_json(args.input))
     if args.cross_check and exp.dimension != 1:
         raise UsageError(f"--cross-check samples the d = 1 kernel integral; the expansion has "
@@ -381,8 +384,9 @@ def cmd_bargmann(args):
     F = bargmann_coeff(exp)
     payload = {"result": F.to_json_dict()}
     if args.cross_check:
-        rng = np.random.default_rng(args.seed)
         quad_order = args.quad_order if args.quad_order is not None else 60
+        _kernel_rules(args.cross_check, 1, quad_order)
+        rng = np.random.default_rng(args.seed)
         # (k, 1) points z, drawn as k successive (re, im) pairs
         zs = rng.uniform(-2, 2, size=(args.cross_check, 2)).view(complex)
         # both routes and their agreement test run on the expansion scaled by
@@ -500,8 +504,7 @@ def _selftest_cases():
     from .hermite import hermite_function
     for n in range(5):
         z = 0.7 + 0.4j
-        got = bargmann_integral(
-            lambda pts, n=n: np.array([hermite_function((n,), p) for p in pts]), [z], 60)
+        got = bargmann_integral(lambda pts, n=n: hermite_function((n,), pts), [z], 60)
         want = z**n / math.sqrt(math.factorial(n))
         check(f"bargmann integral h_{n} -> e_{n}", abs(got - want), 1e-8)
 

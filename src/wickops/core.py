@@ -187,7 +187,7 @@ def _rank_table(d: int, top: int) -> np.ndarray:
     """Closed-form graded rank, table[s, j] = #{length d - j, degree < s} for
     s <= top: g of degree <= top sits at position sum_j table[g_j + ... +
     g_{d-1}, j] of enumerate_basis.  Cached and shared, so read-only."""
-    table = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(d, 0, -1)]
+    table = np.array([[math.comb(s - 1 + m, m) for m in range(d, 0, -1)]
                       for s in range(top + 1)], dtype=np.intp)
     table.flags.writeable = False
     return table
@@ -437,8 +437,4 @@ def expansion_inner(f: CoefficientExpansion, g: CoefficientExpansion) -> complex
     if f.side != g.side:
         raise UsageError("expansions live on different sides of the transform")
     small, large = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) else (g.coeffs, f.coeffs)
-    total = 0.0 + 0.0j
-    for a in small:
-        if a in large:
-            total += f.coeffs.get(a, 0.0) * np.conj(g.coeffs.get(a, 0.0))
-    return complex(total)
+    return complex(sum((f.coeffs[a] * np.conj(g.coeffs[a]) for a in small if a in large), 0j))

@@ -182,4 +182,4 @@ def verify_decomposition(a: WickSymbol, decomp: WickToAntiWickDecomposition,
     rhs = decomposition_matrix(decomp, trunc_degree)
     n_out = max(lhs.codomain_degree, rhs.codomain_degree)
     diff = lhs.embedded(n_out).entries - rhs.embedded(n_out).entries
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    return float(np.max(np.abs(diff)))

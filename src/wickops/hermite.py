@@ -202,16 +202,12 @@ def apply_ladder(f: CoefficientExpansion, op: LadderKind) -> CoefficientExpansio
     if op.coordinate >= f.dimension:
         raise UsageError(f"coordinate {op.coordinate} out of range for dimension {f.dimension}")
     e_j = MultiIndex.unit(f.dimension, op.coordinate)
+    up = op.kind == CREATION
     out = {}
     for alpha, c in f.coeffs.items():
-        n = alpha[op.coordinate]
-        if op.kind == CREATION:
-            target = alpha + e_j
-            out[target] = out.get(target, 0.0) + math.sqrt(2.0 * (n + 1)) * c
-        else:
-            if n == 0:
-                continue
-            target = alpha - e_j
+        n = alpha[op.coordinate] + up
+        if n:
+            target = alpha + e_j if up else alpha - e_j
             out[target] = out.get(target, 0.0) + math.sqrt(2.0 * n) * c
     return CoefficientExpansion(f.dimension, HERMITE, out)
 

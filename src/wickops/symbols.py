@@ -63,8 +63,8 @@ class _TermSymbol:
     """Polynomial symbol sum c(alpha, beta) u^alpha v^beta in two d-tuples of
     variables, kept as {(alpha, beta): complex} without zero values.  The
     subclass gives the variables their meaning; its _KINDS maps each JSON
-    "kind" it reads to the constructor keywords of that kind.  A file
-    without "kind" reads as "wick"."""
+    "kind" it reads and writes to the constructor keywords of that kind.  A
+    file without "kind" reads as "wick"."""
 
     def __init__(self, dimension, terms):
         if dimension < 1:
@@ -81,6 +81,12 @@ class _TermSymbol:
             value = complex(value)
             if value != 0:
                 self.terms[(alpha, beta)] = value
+
+    @property
+    def kind(self) -> str:
+        """The JSON kind whose constructor keywords this symbol carries."""
+        return next(kind for kind, keywords in self._KINDS.items()
+                    if all(getattr(self, k) == v for k, v in keywords.items()))
 
     @property
     def total_degree(self) -> int:
@@ -122,10 +128,6 @@ class WickSymbol(_TermSymbol):
     def __init__(self, dimension, terms, point_symbol=False):
         super().__init__(dimension, terms)
         self.point_symbol = bool(point_symbol)
-
-    @property
-    def kind(self) -> str:
-        return "antiwick" if self.point_symbol else "wick"
 
     @property
     def z_degree(self) -> int:
@@ -216,9 +218,6 @@ class RealSymbol(_TermSymbol):
         super().__init__(dimension, terms)
         self.quantization = quantization
 
-    @property
-    def kind(self) -> str:
-        return "kn" if self.quantization == KOHN_NIRENBERG else "weyl"
 
 @dataclass
 class OperatorMatrix:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wickops.core import (FOCK, HERMITE, MAX_QUAD_ORDER, CoefficientExpansion, UsageError,
-                          expansion_inner)
+from wickops.core import (FOCK, HERMITE, MAX_QUAD_ORDER, CoefficientExpansion, NumericalError,
+                          UsageError, expansion_inner)
 from wickops.hermite import (
     ANNIHILATION,
     CREATION,
@@ -19,6 +19,7 @@ from wickops.hermite import (
 )
 from wickops.bargmann import (
     AccuracyWarning,
+    _kernel_rules,
     bargmann_coeff,
     bargmann_integral,
     bargmann_kernel,
@@ -103,6 +104,15 @@ class TestBatchedBargmannIntegral:
     def test_empty_batch(self):
         f = lambda pts: synthesize(CoefficientExpansion(1, HERMITE, {(0,): 1.0}), pts)  # noqa: E731
         assert bargmann_integral(f, np.zeros((0, 1))).shape == (0,)
+
+    def test_kernel_tables_over_the_budget_are_refused_before_sampling(self):
+        # 10,001 points against the 60 + 40 nodes of the default rules
+        def sample(pts):
+            raise AssertionError(f"sampled on {len(pts)} nodes before the budget check")
+        with pytest.raises(UsageError, match="10001 points against the 100 nodes .* over the "
+                                             "budget of 1000000"):
+            bargmann_integral(sample, np.zeros((10_001, 1), dtype=complex))
+        assert [rule.order for rule in _kernel_rules(10_000, 1, 60)] == [60, 40]
 
 
 class TestLargeZWarning:
@@ -231,6 +241,13 @@ class TestEvaluateFock:
         assert 1e-300 < abs(want) < 1e300
         got = evaluate_fock(CoefficientExpansion(len(index), FOCK, {index: 1.0}), z)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_values_past_float64s_range_are_refused(self):
+        # e_2600(40) is about 2.6e289, but the running product passes 1e308 on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"z = \[\(40\+0j\)\] is past float64"):
+                evaluate_fock(CoefficientExpansion(1, FOCK, {(2600,): 1.0}), [40.0])
 
     def test_agreement_with_integral_realization(self):
         rng = np.random.default_rng(17)

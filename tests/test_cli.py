@@ -1099,6 +1099,10 @@ def test_format_and_seed_are_declared_where_read():
 class TestFuzzedCalls:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_cli_calls())
+    # a negative seed reached numpy's generator on a valid cross-check input
+    @example(("bargmann", ["--cross-check=2", "--seed=-1"],
+              json.dumps({"dimension": 1, "side": "hermite",
+                          "coeffs": [{"index": [1], "value": [1.0, 0.0]}]}), True))
     def test_error_contract(self, call):
         command, options, text, input_exists = call
         with tempfile.TemporaryDirectory() as tmp:

@@ -79,6 +79,10 @@ ZW_D3 = WickSymbol(3, {((30, 30, 30), (30, 30, 30)): 1.0})
 EMPTY_1000, EMPTY_100000 = WickSymbol(1000, {}), WickSymbol(100000, {})
 # 1.7e308 (h_1 + h_5): its cross-check values e_1(z) and e_5(z) times 1.7e308 overflow
 H_MAX = CoefficientExpansion(1, HERMITE, {(1,): 1.7e308, (5,): 1.7e308})
+# Re a(w, w) = 1 - 1e307 |w|^4 is -inf on the diagonal grid; with the
+# coefficient 1e307 + 1e307i the complex products are nan
+DIAG_INF = WickSymbol(1, {((0,), (0,)): 1.0, ((2,), (2,)): -1e307})
+DIAG_NAN = WickSymbol(1, {((0,), (0,)): 1.0, ((2,), (2,)): 1e307 + 1e307j})
 # one Hermite function of a high degree: its value table takes (degree + 1) x points entries
 H_300K, H_5M, H_10M = (CoefficientExpansion(1, HERMITE, {(n,): 1.0})
                        for n in (300_000, 5_000_000, 10**7))
@@ -122,6 +126,8 @@ REFUSALS = [
      (F_H.to_json_dict(), ["bargmann", "--cross-check", "1", "--quad-order", "0"])),
     ("tensor_rule-dimension", lambda: tensor_rule(gauss_hermite(3), 0), UsageError,
      "dimension must be >= 1", None),
+    ("expansion-side", lambda: CoefficientExpansion(1, "other", {}), UsageError,
+     "side must be 'hermite' or 'fock', got 'other'", None),
     ("expansion-plus", lambda: F_H.plus(F_F), UsageError,
      "cannot add expansions with different dimension or side", None),
     # hermite
@@ -313,6 +319,9 @@ REFUSALS = [
      "Hermite functions of degree <= 5000000 at 100 points take 500000100 entries",
      (H_5M.to_json_dict(), ["bargmann", "--cross-check", "1"])),
     # expansion
+    ("decompose-point", lambda: decompose(POINT, 1), UsageError,
+     "decompose applies to standard Wick symbols",
+     (POINT.to_json_dict(), ["expand-antiwick", "--order", "1"])),
     ("decompose-budget", lambda: decompose(EMPTY_40, 3), UsageError,
      "135751 decomposition terms (multi-indices of degree <= 4 in dimension 40) are over the "
      "budget of 10000", (EMPTY_40.to_json_dict(), ["expand-antiwick", "--order", "3"])),
@@ -338,6 +347,10 @@ REFUSALS = [
      (POINT.to_json_dict(), ["garding", "--truncations", "4"])),
     ("garding_check-truncations", lambda: garding_check(OSC, []), UsageError,
      "at least one truncation degree is required", None),
+    ("garding_check-diagonal-infinite", lambda: garding_check(DIAG_INF, [1]), NumericalError,
+     "the diagonal Re a(w, w) is past float64's range on the grid of radius 4", None),
+    ("garding_check-diagonal-nan", lambda: garding_check(DIAG_NAN, [1]), NumericalError,
+     "the diagonal Re a(w, w) is past float64's range on the grid of radius 4", None),
     ("fit_norm_growth-length", lambda: fit_norm_growth([1.0, 2.0, 3.0]), InputDataError,
      "need at least 4 norm values, got 3", None),
     # cli
@@ -390,24 +403,53 @@ def test_shubin_budget_comes_before_the_derivative_orders(monkeypatch):
         shubin_estimate_check(SHUBIN_D3, ShubinWeight(2.0), 60, 0, pair_grid(3, 4.0, 1))
 
 
-def _child_refusal(data, argv, tmp_path, timeout, prelude=""):
-    """The message of the CLI's refusal (exit 2, one JSON line, no report) of
-    the input data, run in a child process: it keeps a resource limit set in
-    prelude, a hang or a failure away from this one."""
+def _child_refusal(data, argv, tmp_path, timeout, prelude="", code=EXIT_USAGE):
+    """The message of the CLI's refusal (exit code, one JSON line and no
+    warning on stderr, no report, main done within 1 s) of the input data,
+    run in a child process: it keeps a resource limit set in prelude, a hang
+    or a failure away from this one."""
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(data))
     src = str(Path(wickops.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    script = prelude + "import sys; from wickops.cli import main; sys.exit(main(sys.argv[1:]))"
+    seconds = tmp_path / "seconds"
+    script = (prelude + "import sys, time; from wickops.cli import main; "
+              "t0 = time.perf_counter(); code = main(sys.argv[1:]); "
+              f"open({str(seconds)!r}, 'w').write(str(time.perf_counter() - t0)); "
+              "sys.exit(code)")
     out = tmp_path / "out.json"
     proc = subprocess.run([sys.executable, "-c", script, argv[0], "--input", str(inp),
                            "--output", str(out), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.returncode == code, proc.stderr
     (line,) = proc.stderr.splitlines()
     assert not out.exists()
+    assert float(seconds.read_text()) < 1.0
     return json.loads(line)["error"]["message"]
+
+
+# (id, input, arguments, exit code, message part) of refusals run in a child
+# process, where each one ended in a traceback or a non-finite report
+CHILD_REFUSALS = [
+    ("bargmann-negative-seed", F_H, ["bargmann", "--cross-check", "2", "--seed", "-1"],
+     EXIT_USAGE, "--seed must be >= 0, got -1"),
+    ("bargmann-cross-check-astronomical", F_H, ["bargmann", "--cross-check", str(10**22)],
+     EXIT_USAGE, "kernel tables of 1000000000000000000000000 entries, over the budget of "
+     "1000000"),
+    ("bargmann-cross-check-budget", F_H, ["bargmann", "--cross-check", "10001"], EXIT_USAGE,
+     "10001 points against the 100 nodes of the order-60 and order-40 rules"),
+    ("garding-diagonal-infinite", DIAG_INF, ["garding", "--truncations", "1"], EXIT_NUMERICAL,
+     "the diagonal Re a(w, w) is past float64's range on the grid of radius 4"),
+    ("garding-diagonal-nan", DIAG_NAN, ["garding", "--truncations", "1"], EXIT_NUMERICAL,
+     "the diagonal Re a(w, w) is past float64's range on the grid of radius 4"),
+]
+
+
+@pytest.mark.parametrize("data, argv, code, message", [row[1:] for row in CHILD_REFUSALS],
+                         ids=[row[0] for row in CHILD_REFUSALS])
+def test_child_refusal(data, argv, code, message, tmp_path):
+    assert message in _child_refusal(data.to_json_dict(), argv, tmp_path, 60, code=code)
 
 
 def test_huge_dimension_is_refused_in_bounded_memory(tmp_path):
